@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DimensionCapExceeded, NotCyclic, NotSeparating
 from .reconstruction import TargetElement
+from .tolerances import resolve_tol
 
 __all__ = [
     "MAX_DIM",
@@ -32,24 +33,18 @@ __all__ = [
 
 MAX_DIM = 16
 _SPAN_TOL = 1e-10
+# complex entries per batch of products: d^4 at the cap, whatever the generators
+_CHUNK = MAX_DIM**4
 
 
-def _flat(a):
-    return np.asarray(a, dtype=complex).ravel()
-
-
-def _orthonormalize(vectors, tol=_SPAN_TOL):
-    """Stable Gram-Schmidt over flattened matrices; drops dependent ones."""
-    basis = []
-    for v in vectors:
-        w = v.astype(complex).copy()
-        for _ in range(2):
-            for b in basis:
-                w -= np.vdot(b, w) * b
-        n = np.linalg.norm(w)
-        if n > tol * max(1.0, np.linalg.norm(v)):
-            basis.append(w / n)
-    return basis
+def _extend(rows, q=None):
+    """Orthonormal rows for what `rows` adds to the span of the orthonormal
+    rows `q` (none by default): two projections, one rank-revealing SVD."""
+    q = rows[:0] if q is None else q
+    r = rows - (rows @ q.conj().T) @ q
+    r -= (r @ q.conj().T) @ q
+    _, s, vh = np.linalg.svd(r, full_matrices=False)
+    return vh[s > _SPAN_TOL * max(1.0, s[0])]
 
 
 class MatrixAlgebra:
@@ -87,56 +82,74 @@ class MatrixAlgebra:
         return self._generators
 
     def basis(self):
-        """Orthonormal basis (trace inner product) of the closed span."""
-        if self._basis is not None:
-            return self._basis
-        d = self._d
-        seed = [np.eye(d, dtype=complex)] + list(self._generators)
-        seed += [g.conj().T for g in self._generators]
-        flats = _orthonormalize([_flat(m) for m in seed])
-        grown = True
-        while grown and len(flats) < d * d:
-            grown = False
-            mats = [f.reshape(d, d) for f in flats]
-            candidates = []
-            for a in mats:
-                candidates.append(a.conj().T)
-                for b in mats:
-                    candidates.append(a @ b)
-            for c in candidates:
-                extended = _orthonormalize(flats + [_flat(c)])
-                if len(extended) > len(flats):
-                    flats = extended
-                    grown = True
-        self._basis = [f.reshape(d, d) for f in flats]
-        return self._basis
+        """Orthonormal basis (trace inner product) of the closed span.
+
+        Words in the generators and their adjoints span the algebra, so
+        closure starts from their span S, each scaled to unit norm for a
+        scale-free rank test, and each round multiplies only the directions
+        the last round found by S, in batches of about _CHUNK entries, each
+        projected off the basis and appended by one thin SVD.
+        """
+        if self._basis is None:
+            d = self._d
+            q = np.eye(d, dtype=complex).reshape(1, d * d) / np.sqrt(d)
+            step = max(1, _CHUNK // (2 * d * d))
+            for i in range(0, len(self._generators), step):
+                gens = np.asarray(self._generators[i : i + step])
+                gens = gens / np.linalg.norm(gens, axis=(1, 2), keepdims=True).clip(1e-300)
+                rows = np.concatenate([gens, gens.conj().transpose(0, 2, 1)])
+                q = np.vstack([q, _extend(rows.reshape(-1, d * d), q)])
+            newest = q.reshape(-1, d, d)
+            mult = newest[1:]  # the identity adds no products
+            while len(mult) and len(newest) and len(q) < d * d:
+                step = max(1, _CHUNK // (len(newest) * d * d))
+                found = []
+                for i in range(0, len(mult), step):
+                    products = mult[i : i + step, None] @ newest[None]
+                    found.append(_extend(products.reshape(-1, d * d), q))
+                    q = np.vstack([q, found[-1]])
+                newest = np.concatenate(found).reshape(-1, d, d)
+            self._basis = q.reshape(-1, d, d)
+        return list(self._basis)
 
     def dim_span(self):
         return len(self.basis())
 
     def contains(self, x, tol=1e-9):
         """Whether the matrix lies in the closed span."""
-        v = _flat(x)
-        scale = max(1.0, np.linalg.norm(v))
-        for b in self.basis():
-            bf = _flat(b)
-            v = v - np.vdot(bf, v) * bf
-        return float(np.linalg.norm(v)) <= tol * scale
+        v = np.asarray(x, dtype=complex).reshape(self._d**2)
+        q = np.reshape(self.basis(), (-1, v.size))
+        r = v - (q.conj() @ v) @ q
+        return float(np.linalg.norm(r)) <= tol * max(1.0, np.linalg.norm(v))
 
 
 def commutant(algebra: MatrixAlgebra) -> MatrixAlgebra:
-    """All matrices commuting with the algebra, via the kernel of the
-    stacked commutator system over the generators."""
+    """All matrices commuting with the algebra, for any generator set.
+
+    The commutant is the common kernel of X -> bX - Xb over an orthonormal
+    basis of the algebra (the same kernel as over the generators and their
+    adjoints). Starting from all of M_d, each batch of maps narrows the
+    kernel by one thin SVD; a batch holds at most d^4 entries, so memory
+    stays O(d^4). The orthonormal kernel is already a *-algebra and serves
+    as the commutant's basis without closure.
+    """
     d = algebra.d
-    eye = np.eye(d)
-    rows = []
-    for a in algebra.generators:
-        rows.append(np.kron(a, eye) - np.kron(eye, a.T))
-    system = np.vstack(rows)
-    _, s, vh = np.linalg.svd(system)
-    keep = [i for i in range(d * d) if i >= len(s) or s[i] <= 1e-9 * max(1.0, s[0])]
-    gens = [vh[i].conj().reshape(d, d) for i in keep]
-    return MatrixAlgebra(gens)
+    mult = np.asarray(algebra.basis())
+    # trace parts leave every commutator unchanged; dropping them drops the identity
+    mult = mult - np.trace(mult, axis1=1, axis2=2)[:, None, None] * np.eye(d) / d
+    mult = mult[np.linalg.norm(mult, axis=(1, 2)) > _SPAN_TOL]
+    kernel = np.eye(d * d, dtype=complex).reshape(-1, d, d)
+    done = 0
+    while done < len(mult) and len(kernel) > 1:  # one left: the scalars
+        b = mult[done : done + max(1, d * d // len(kernel))]
+        done += len(b)
+        comm = b[:, None] @ kernel[None] - kernel[None] @ b[:, None]
+        system = comm.transpose(0, 2, 3, 1).reshape(-1, len(kernel))
+        _, s, vh = np.linalg.svd(system, full_matrices=False)
+        kernel = np.tensordot(vh[s <= 1e-9 * max(1.0, s[0])].conj(), kernel, axes=1)
+    out = MatrixAlgebra(kernel)
+    out._basis = kernel
+    return out
 
 
 @dataclass(frozen=True)
@@ -173,8 +186,9 @@ def modular_data(algebra: MatrixAlgebra, omega, tol=None) -> ModularData:
     """Assemble S(a Omega) = a* Omega on the algebra and polar-decompose it.
 
     Omega must be cyclic (algebra orbit spans the space) and separating
-    (a Omega = 0 only for a = 0); rank tests at 1e-9 enforce both.
+    (a Omega = 0 only for a = 0); rank tests at resolve_tol(tol) enforce both.
     """
+    tol = resolve_tol(tol)
     om = np.asarray(omega, dtype=complex).reshape(-1)
     d = algebra.d
     if om.shape[0] != d:
@@ -183,7 +197,7 @@ def modular_data(algebra: MatrixAlgebra, omega, tol=None) -> ModularData:
     v = np.column_stack([b @ om for b in basis])
     w = np.column_stack([b.conj().T @ om for b in basis])
     s_vals = np.linalg.svd(v, compute_uv=False)
-    rank = int(np.sum(s_vals > 1e-9 * max(1.0, s_vals[0])))
+    rank = int(np.sum(s_vals > tol * max(1.0, s_vals[0])))
     if rank < d:
         raise NotCyclic("the algebra orbit of the vector does not span the space")
     if rank < len(basis):
@@ -204,27 +218,14 @@ def modular_data(algebra: MatrixAlgebra, omega, tol=None) -> ModularData:
 def span_residual(basis_a, basis_b) -> float:
     """Symmetric distance between two matrix spans: worst projection defect
     of a unit vector of one span against the orthonormalized other."""
-    fa = _orthonormalize([_flat(m) for m in basis_a])
-    fb = _orthonormalize([_flat(m) for m in basis_b])
-    worst = 0.0
-    for ours, theirs in ((fa, fb), (fb, fa)):
-        for vec in ours:
-            r = vec.copy()
-            for b in theirs:
-                r -= np.vdot(b, r) * b
-            worst = max(worst, float(np.linalg.norm(r)))
-    return worst
+    fa, fb = (_extend(np.reshape(m, (len(m), -1)).astype(complex)) for m in (basis_a, basis_b))
+    defects = [ours - (ours @ theirs.conj().T) @ theirs for ours, theirs in ((fa, fb), (fb, fa))]
+    return float(max(np.linalg.norm(r, axis=1).max(initial=0.0) for r in defects))
 
 
 def matrix_units(n):
     """The n^2 matrix units E_ij."""
-    units = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            units.append(e)
-    return units
+    return list(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
 
 
 def block_factor_algebra(n, side="left") -> MatrixAlgebra:
@@ -245,8 +246,7 @@ def entangled_vector(weights) -> np.ndarray:
     p = p / np.sum(p)
     n = p.shape[0]
     om = np.zeros(n * n, dtype=complex)
-    for i in range(n):
-        om[i * n + i] = np.sqrt(p[i])
+    om[:: n + 1] = np.sqrt(p)
     return om
 
 

@@ -14,21 +14,15 @@ import math
 import numpy as np
 
 from .minkowski import FourVector, LorentzElement, PoincareElement
-from .wedges import DoubleCone, Wedge
+from .wedges import Wedge
 
 __all__ = [
     "canonical_dumps",
     "four_vector_to_json",
-    "four_vector_from_json",
     "matrix_to_json",
-    "matrix_from_json",
     "poincare_to_json",
-    "poincare_from_json",
     "reflection_to_json",
     "wedge_to_json",
-    "wedge_from_json",
-    "double_cone_to_json",
-    "double_cone_from_json",
     "complex_matrix_to_json",
     "complex_matrix_from_json",
     "complex_vector_to_json",
@@ -101,16 +95,8 @@ def four_vector_to_json(v: FourVector):
     return [float(c) for c in v.array]
 
 
-def four_vector_from_json(data) -> FourVector:
-    return FourVector.from_array(_real_list(data, 4))
-
-
 def matrix_to_json(m: LorentzElement):
     return [float(x) for x in m.m.ravel()]
-
-
-def matrix_from_json(data, tol=None) -> LorentzElement:
-    return LorentzElement(_real_list(data, 16).reshape(4, 4), tol=tol)
 
 
 def poincare_to_json(g: PoincareElement):
@@ -118,14 +104,6 @@ def poincare_to_json(g: PoincareElement):
         "matrix": matrix_to_json(g.lorentz),
         "translation": four_vector_to_json(g.translation),
     }
-
-
-def poincare_from_json(data, tol=None) -> PoincareElement:
-    if not isinstance(data, dict) or "matrix" not in data:
-        raise ValueError("expected an object with 'matrix' and 'translation'")
-    lam = matrix_from_json(data["matrix"], tol=tol)
-    shift = four_vector_from_json(data.get("translation", [0.0, 0.0, 0.0, 0.0]))
-    return PoincareElement(lam, shift)
 
 
 def reflection_to_json(r):
@@ -140,33 +118,6 @@ def wedge_to_json(w: Wedge):
         "l2": four_vector_to_json(w.l2),
         "p": four_vector_to_json(w.p),
     }
-
-
-def wedge_from_json(data, tol=None) -> Wedge:
-    if not isinstance(data, dict):
-        raise ValueError("expected an object with 'l1', 'l2', 'p'")
-    return Wedge(
-        four_vector_from_json(data["l1"]),
-        four_vector_from_json(data["l2"]),
-        four_vector_from_json(data.get("p", [0.0, 0.0, 0.0, 0.0])),
-        tol=tol,
-    )
-
-
-def double_cone_to_json(c: DoubleCone):
-    return {
-        "past": four_vector_to_json(c.apex_past),
-        "future": four_vector_to_json(c.apex_future),
-    }
-
-
-def double_cone_from_json(data) -> DoubleCone:
-    if not isinstance(data, dict):
-        raise ValueError("expected an object with 'past' and 'future'")
-    return DoubleCone(
-        four_vector_from_json(data["past"]),
-        four_vector_from_json(data["future"]),
-    )
 
 
 def complex_matrix_to_json(m):

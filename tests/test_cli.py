@@ -176,6 +176,18 @@ def test_modular_not_separating(capsys):
     assert doc["payload"]["error"] == "NotSeparating"
 
 
+def test_modular_not_cyclic(capsys):
+    # the identity generates only the scalars, whose orbit of a vector is a line
+    doc_in = {
+        "algebra": {"d": 2, "generators": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+        "vector": [[1.0, 0.0], [1.0, 0.0]],
+    }
+    code, doc, _ = run_cli(["modular"], stdin_data=json.dumps(doc_in), capsys=capsys)
+    assert code == 1
+    assert doc["status"] == "fail"
+    assert doc["payload"]["error"] == "NotCyclic"
+
+
 def test_modular_dimension_cap(capsys):
     doc_in = {
         "algebra": {"d": 17, "generators": [np.eye(17).tolist()]},

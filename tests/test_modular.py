@@ -1,5 +1,7 @@
 """Finite-dimensional modular theory: J, Delta, commutants, duality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,17 @@ def test_algebra_closure_and_contains():
     assert algebra.dim_span() == 4
     assert algebra.contains(np.kron(e[0], np.eye(2)))
     assert not algebra.contains(np.kron(np.eye(2), e[1]))
+    with pytest.raises(ValueError):
+        algebra.contains(e[1])
+
+
+@pytest.mark.parametrize("generator", [np.eye(2), np.zeros((2, 2))], ids=["identity", "zero"])
+def test_scalar_generators_give_the_scalars(generator):
+    # nothing to multiply: closure stops at the identity
+    algebra = MatrixAlgebra([generator])
+    assert algebra.dim_span() == 1
+    assert algebra.contains(2.0 * np.eye(2))
+    assert commutant(algebra).dim_span() == 4
 
 
 def test_verify_modular_relations_single_pair():
@@ -215,3 +228,63 @@ def test_verify_modular_relations_random_pairs():
     pairs = [random_algebra_with_vector(rng) for _ in range(4)]
     report = verify_modular_relations(pairs, samples=2)
     assert report["pass"] is True
+
+
+def test_commutant_of_generators_not_closed_under_adjoints():
+    # N x 1 with N nilpotent generates M_2 x 1 only together with N* x 1,
+    # so the commutant must be 1 x M_2, not all of M_4
+    n = np.array([[0.0, 1.0], [0.0, 0.0]])
+    algebra = MatrixAlgebra([np.kron(n, np.eye(2))])
+    com = commutant(algebra)
+    assert algebra.dim_span() == 4
+    assert com.dim_span() == 4
+    right = block_factor_algebra(2, side="right")
+    assert span_residual(com.basis(), right.basis()) <= 1e-10
+    assert span_residual(commutant(com).basis(), algebra.basis()) <= 1e-10
+
+
+def test_commutant_matches_stacked_kernel():
+    # reference: the null space of the stacked system kron(b, 1) - kron(1, b^T)
+    # over every generator and adjoint, from one full SVD at small d
+    rng = np.random.default_rng(13)
+    n = np.array([[0.0, 1.0], [0.0, 0.0]])
+    algebras = [random_algebra_with_vector(rng, max_dim=6)[0] for _ in range(4)]
+    algebras.append(MatrixAlgebra([np.kron(n, np.eye(2)), np.kron(np.eye(2), np.diag([1.0, 2.0]))]))
+    for algebra in algebras:
+        d = algebra.d
+        gens = list(algebra.generators) + [g.conj().T for g in algebra.generators]
+        system = np.vstack([np.kron(g, np.eye(d)) - np.kron(np.eye(d), g.T) for g in gens])
+        _, s, vh = np.linalg.svd(system)
+        s = np.concatenate([s, np.zeros(d * d - len(s))])
+        null = [vh[i].conj().reshape(d, d) for i in range(d * d) if s[i] <= 1e-9 * s[0]]
+        com = commutant(algebra)
+        assert com.dim_span() == len(null)
+        assert span_residual(com.basis(), null) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: block_factor_algebra(4), lambda: MatrixAlgebra(matrix_units(16))],
+    ids=["tensor-factor-16", "full-16"],
+)
+def test_commutant_and_closure_memory_bounded(build):
+    # both run at the dimension cap; a full SVD of the stacked commutator
+    # system needs about 300 MB for the first and 69 GB for the second
+    tracemalloc.start()
+    try:
+        alg = build()
+        alg.basis()
+        commutant(alg).basis()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_modular_data_honours_tol():
+    algebra = block_factor_algebra(2, side="left")
+    omega = entangled_vector([1 - 1e-6, 1e-6])
+    md = modular_data(algebra, omega)
+    assert md.invariant_residuals(omega)["fixes_vector"] <= 1e-8
+    with pytest.raises(NotCyclic):
+        modular_data(algebra, omega, tol=1e-2)
