@@ -214,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser("suite", help="run the acceptance checks")
     p_suite.add_argument("--level", choices=("quick", "full"), default="full")
     p_suite.add_argument("--seed", type=int, default=42)
-    p_suite.add_argument("--parallel", type=int, default=None, help="worker count")
+    p_suite.add_argument("--parallel", type=int, default=None, help="ignored; checks run serially")
     p_suite.add_argument(
         "--force-fail", action="store_true", help="append a synthetic failing check"
     )

@@ -27,7 +27,13 @@ from .minkowski import (
     polar_decompose,
 )
 from .tolerances import resolve_tol
-from .wedges import EdgePlane, Wedge, _frame_from_plane, _minkowski_orthonormal_pair, edge
+from .wedges import (
+    EdgePlane,
+    Wedge,
+    _frame_from_plane,
+    _minkowski_orthonormal_pair,
+    _normal_projector,
+)
 
 __all__ = [
     "Reflection",
@@ -141,14 +147,17 @@ def reflection_about_axis(direction, tol=None) -> Reflection:
 
 
 def reflection_for_wedge(w: Wedge, tol=None) -> Reflection:
-    """The unique reflection whose fixed plane is the edge of the wedge."""
+    """The unique reflection whose fixed plane is the edge of the wedge.
+
+    With P the Minkowski projector onto span{l1, l2} of the normals,
+    P x = [(l2.x) l1 + (l1.x) l2] / (l1.l2), the reflection is
+    x -> (1 - 2P) x + 2P p: it negates span{l1, l2} and fixes the edge
+    through p pointwise.
+    """
     tol = resolve_tol(tol)
-    pl = edge(w, tol)
-    u1, u2 = pl.u1.array, pl.u2.array
-    proj = -(np.outer(u1, u1) + np.outer(u2, u2)) @ METRIC
-    lam_m = 2.0 * proj - np.eye(4)
-    lam = LorentzElement(lam_m, tol=tol, validate=False)
-    a = FourVector.from_array((np.eye(4) - lam_m) @ pl.point.array)
+    proj = _normal_projector(w)
+    lam = LorentzElement(np.eye(4) - 2.0 * proj, tol=tol, validate=False)
+    a = FourVector.from_array(2.0 * proj @ w.p.array)
     return Reflection(PoincareElement(lam, a), tol=tol, validate=False)
 
 

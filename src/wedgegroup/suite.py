@@ -1,13 +1,11 @@
 """Composable acceptance checks bundled for the command-line suite.
 
-Each check returns a uniform report dict; run_suite executes all of them at
-a chosen effort level, optionally across a thread pool (every check is pure
-and independently seeded).
+Each check returns a uniform report dict; run_suite executes all of them,
+one after another, at a chosen effort level (every check is pure and
+independently seeded).
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -296,28 +294,26 @@ SUITE_CHECKS = (
 
 
 def run_suite(level="full", seed=42, parallel=None, force_fail=False):
-    """Run every acceptance check; returns the list of reports in a fixed
-    order regardless of execution strategy."""
+    """Run every acceptance check in a fixed order; returns their reports.
+
+    ``parallel`` is accepted and ignored: the checks are pure Python, so a
+    thread pool ran them slower than serial, and the output is the same for
+    any value.
+    """
     if level not in _LEVELS:
         raise ValueError(f"unknown level {level!r}")
     cfg = _LEVELS[level]
     base = int(seed)
-    jobs = [
-        lambda: check_factorization(base + 1, **cfg["factorization"]),
-        lambda: check_ambiguity(base + 2, **cfg["ambiguity"]),
-        lambda: check_e_independence(base + 3, **cfg["e_independence"]),
-        lambda: check_homomorphism(base + 4, **cfg["homomorphism"]),
-        lambda: check_translation_extension(base + 5, **cfg["translation"]),
-        lambda: check_negative_control(base + 6, **cfg["negative"]),
-        lambda: check_continuity(base + 7, **cfg["continuity"]),
-        lambda: check_modular(base + 8, **cfg["modular"]),
+    reports = [
+        check_factorization(base + 1, **cfg["factorization"]),
+        check_ambiguity(base + 2, **cfg["ambiguity"]),
+        check_e_independence(base + 3, **cfg["e_independence"]),
+        check_homomorphism(base + 4, **cfg["homomorphism"]),
+        check_translation_extension(base + 5, **cfg["translation"]),
+        check_negative_control(base + 6, **cfg["negative"]),
+        check_continuity(base + 7, **cfg["continuity"]),
+        check_modular(base + 8, **cfg["modular"]),
     ]
-    if parallel and parallel > 1:
-        with ThreadPoolExecutor(max_workers=int(parallel)) as pool:
-            futures = [pool.submit(job) for job in jobs]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [job() for job in jobs]
     if force_fail:
         reports.append(_report("forced-failure", 0, 1.0, False))
     return reports

@@ -225,20 +225,35 @@ def edge(w, tol=None):
     )
 
 
+def _normal_projector(w):
+    """Minkowski projector onto span{l1, l2} of a wedge,
+
+        P x = [(l2.x) l1 + (l1.x) l2] / (l1.l2).
+
+    It fixes both normals and annihilates the edge directions (the
+    Minkowski-orthogonal complement of span{l1, l2}), so 1 - P projects onto
+    the directions of the edge plane.
+    """
+    l1, l2 = w.l1.array, w.l2.array
+    return (np.outer(l1, METRIC @ l2) + np.outer(l2, METRIC @ l1)) / minkowski_inner_arr(l1, l2)
+
+
 def wedges_equal(w1, w2, tol=1e-9):
-    """Equality as regions: same normalized normals and the same edge plane."""
+    """Equality as regions: same normalized normals and the same edge plane.
+
+    Once the normals agree within ``tol``, the edges coincide exactly when
+    d = p2 - p1 lies in the edge plane of w1, i.e. when its off-plane part
+    P d (P the projector of w1 onto span{l1, l2}) satisfies
+    |P d| <= max(tol, 1e-9) * (1 + |d - P d|) in the Euclidean norm.
+    """
     if float(np.linalg.norm(w1.l1.array - w2.l1.array)) > tol:
         return False
     if float(np.linalg.norm(w1.l2.array - w2.l2.array)) > tol:
         return False
-    e1, e2 = edge(w1), edge(w2)
-    if not e1.contains(e2.point, tol=max(tol, 1e-9)):
-        return False
-    for u in (e2.u1, e2.u2):
-        probe = FourVector.from_array(e1.point.array + u.array)
-        if not e1.contains(probe, tol=max(tol, 1e-9)):
-            return False
-    return True
+    d = w2.p.array - w1.p.array
+    off = _normal_projector(w1) @ d
+    bound = max(tol, 1e-9) * (1.0 + np.linalg.norm(d - off))
+    return bool(np.linalg.norm(off) <= bound)
 
 
 class DoubleCone:
@@ -274,56 +289,27 @@ class DoubleCone:
             and down.t > 0.0
         )
 
-    def extreme_points(self, n_equator=26):
-        """Apexes plus a deterministic sample of the equatorial 2-sphere.
-
-        The closed double cone is the convex hull of its apexes and the
-        sphere where both light cones meet; 26 lattice directions sample it.
-        """
-        d = self._future.array - self._past.array
-        c = 0.5 * (self._past.array + self._future.array)
-        rho = 0.5 * np.sqrt(minkowski_inner_arr(d, d))
-        row = (METRIC @ d)[None, :]
-        _, _, vh = np.linalg.svd(row)
-        raw = vh[1:]  # spacelike 3-space orthogonal to d
-        basis = []
-        for v in raw:
-            u = v.copy()
-            for b in basis:
-                u = u + minkowski_inner_arr(u, b) * b  # subtract projection (b.b = -1)
-            u = u / np.sqrt(-minkowski_inner_arr(u, u))
-            basis.append(u)
-        dirs = []
-        for i in (-1, 0, 1):
-            for j in (-1, 0, 1):
-                for k in (-1, 0, 1):
-                    if i == j == k == 0:
-                        continue
-                    dirs.append(np.array([i, j, k], dtype=float))
-        dirs = [v / np.linalg.norm(v) for v in dirs[:n_equator]]
-        points = [self._past, self._future]
-        for v in dirs:
-            w = rho * (v[0] * basis[0] + v[1] * basis[1] + v[2] * basis[2])
-            points.append(FourVector.from_array(c + w))
-        return points
-
-
-def _required_margin(w, x, neighborhood):
-    """Linearized bound on how much the defining forms move when the wedge is
-    dragged by group elements within ``neighborhood`` of the identity."""
-    reach = 1.0 + float(np.linalg.norm(x.array - w.p.array))
-    return 2.0 * neighborhood * reach
-
 
 def strictly_inside(c, w, neighborhood=1e-6):
-    """True iff the double cone stays inside every wedge within the
-    neighborhood of w (margin test on the extreme points of c)."""
-    for x in c.extreme_points():
-        a, b = w.margins(x)
-        m = _required_margin(w, x, neighborhood)
-        if not (a <= -m and b >= m):
-            return False
-    return True
+    """True iff the closed double cone c stays inside every wedge within the
+    neighborhood nu of w: every point x of c has l1.(x - p) <= -2 nu (1 + |x - p|)
+    and l2.(x - p) >= 2 nu (1 + |x - p|).
+
+    Both normals are future lightlike, so over the closed cone l1.x is largest
+    at the future apex and l2.x smallest at the past apex; and
+    reach = 1 + |centre - p| + rho (d^0 + |d_vec|), with d the unit timelike
+    axis and rho the half-length of the cone, bounds 1 + |x - p|.  So with
+    m = 2 nu reach the test is l1.(future - p) <= -m and l2.(past - p) >= m.
+    """
+    parr = w.p.array
+    past, future = c.apex_past.array, c.apex_future.array
+    half = 0.5 * (future - past)  # rho * d
+    reach = 1.0 + np.linalg.norm(past + half - parr) + half[0] + np.linalg.norm(half[1:])
+    m = 2.0 * neighborhood * reach
+    return bool(
+        minkowski_inner_arr(w.l1.array, future - parr) <= -m
+        and minkowski_inner_arr(w.l2.array, past - parr) >= m
+    )
 
 
 def strictly_outside_approx(c, w, neighborhood=1e-6):

@@ -7,7 +7,9 @@ from wedgegroup import (
     DegenerateEdge,
     DoubleCone,
     FourVector,
+    METRIC,
     PoincareElement,
+    Wedge,
     act,
     causal_complement,
     edge,
@@ -77,6 +79,22 @@ def test_act_composition():
         g = random_poincare(rng, max_rapidity=1.5, scale=1.0)
         h = random_poincare(rng, max_rapidity=1.5, scale=1.0)
         assert wedges_equal(act(g @ h, w), act(g, act(h, w)), tol=1e-8)
+
+
+def test_wedges_equal_under_edge_translations():
+    # moving the edge point within its own edge plane leaves the region alone;
+    # moving it off the plane along a normal, however little, does not
+    rng = np.random.default_rng(37)
+    for _ in range(100):
+        w = random_wedge(rng, max_rapidity=2.0)
+        pl = edge(w)
+        s, t = rng.uniform(-5.0, 5.0, size=2)
+        shift = s * pl.u1.array + t * pl.u2.array
+        same = wedges_equal(w, Wedge(w.l1, w.l2, FourVector.from_array(w.p.array + shift)))
+        assert type(same) is bool and same
+        moved = Wedge(w.l1, w.l2, FourVector.from_array(w.p.array + 1e-6 * w.l1.array))
+        differ = wedges_equal(w, moved)
+        assert type(differ) is bool and not differ
 
 
 def test_causal_complement_is_opposite_wedge():
@@ -158,7 +176,8 @@ def test_double_cone_validation():
 
 
 def test_strictly_inside_cases():
-    assert strictly_inside(_cone([0, 2, 0, 0], 0.5), RIGHT)
+    inside = strictly_inside(_cone([0, 2, 0, 0], 0.5), RIGHT)
+    assert type(inside) is bool and inside
     # touching the edge of the wedge at the origin
     assert not strictly_inside(_cone([0, 0, 0, 0], 2.0), RIGHT)
     # entirely on the wrong side
@@ -173,6 +192,44 @@ def test_strictly_inside_monotone_in_radius():
             assert ok  # shrinking the cone can only help
         seen_true = seen_true or ok
     assert seen_true
+
+
+def test_strictly_inside_holds_on_the_whole_cone():
+    # whenever the apex test accepts, the margin test holds at both apexes and
+    # on the equatorial sphere, where the two light cones of the cone meet;
+    # each cone is slid along e until it sits delta inside the nearer null
+    # boundary of the standard wedge, so the margins decide
+    rng = np.random.default_rng(41)
+    accepted = {0.0: 0, 1e-6: 0, 1e-3: 0}
+    for _ in range(150):
+        e = random_unit3(rng)
+        l1, l2 = np.concatenate([[1.0], e]), np.concatenate([[1.0], -e])
+        d = make_boost(random_unit3(rng), float(rng.uniform(0.0, 1.5))).m[:, 0]
+        rho = float(rng.uniform(0.05, 1.0))
+        centre = np.concatenate([[rng.normal()], rng.normal(size=3)])
+        a = float((centre + rho * d) @ METRIC @ l1)
+        b = float((centre - rho * d) @ METRIC @ l2)
+        delta = 10.0 ** rng.uniform(-4.0, -1.0)
+        centre[1:] += (delta + max(a, -b)) * e
+        past, future = centre - rho * d, centre + rho * d
+        g = random_poincare(rng, max_rapidity=2.0, scale=1.0)
+        w = act(g, standard_wedge(e))
+        cone = DoubleCone(g.apply(FourVector(*past)), g.apply(FourVector(*future)))
+        v = np.hstack([np.zeros((256, 1)), rng.normal(size=(256, 3))])
+        v = v - np.outer(v @ METRIC @ d, d)  # Minkowski-orthogonal to the unit axis d
+        v = v / np.sqrt(-np.einsum("ij,jk,ik->i", v, METRIC, v))[:, None]
+        points = np.vstack([past, future, centre + rho * v]) @ g.lorentz.m.T + g.translation.array
+        rel = points - w.p.array
+        for nu in accepted:
+            ok = strictly_inside(cone, w, nu)
+            assert type(ok) is bool
+            if not ok:
+                continue
+            accepted[nu] += 1
+            margin = 2.0 * nu * (1.0 + np.linalg.norm(rel, axis=1))
+            assert np.all(rel @ METRIC @ w.l1.array <= -margin)
+            assert np.all(rel @ METRIC @ w.l2.array >= margin)
+    assert accepted[0.0] == 150 and 0 < accepted[1e-3] < 150
 
 
 def test_outside_formulation_coincides():
