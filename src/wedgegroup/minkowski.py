@@ -14,6 +14,7 @@ reported as ``None``.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+_METRIC_SIGNS = np.diag(METRIC).copy()
 _I4 = np.eye(4)
 
 # sin(theta) below which the rotation axis is extracted from the symmetric
@@ -49,16 +51,23 @@ _PI_BRANCH_SIN = 1e-6
 def frobenius(a, b=None):
     """Frobenius distance between two matrices (or norm of one)."""
     a = np.asarray(a, dtype=float)
-    if b is None:
-        return float(np.linalg.norm(a))
-    return float(np.linalg.norm(a - np.asarray(b, dtype=float)))
+    if b is not None:
+        a = a - np.asarray(b, dtype=float)
+    return _norm(a)
+
+
+def _norm(a):
+    # np.linalg.norm's own reduction for real input (ravel, dot, sqrt),
+    # without its argument handling
+    a = a.ravel(order="K")
+    return math.sqrt(float(a.dot(a)))
 
 
 def _finite_floats(values, shape, name):
     arr = np.array(values, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must have finite entries")
     return arr
 
@@ -75,8 +84,11 @@ class FourVector:
 
     @classmethod
     def from_array(cls, values):
-        arr = _finite_floats(values, (4,), "four-vector")
-        return cls(arr[0], arr[1], arr[2], arr[3])
+        v = _finite_floats(values, (4,), "four-vector")
+        v.setflags(write=False)
+        out = cls.__new__(cls)
+        out._v = v
+        return out
 
     @property
     def array(self):
@@ -184,18 +196,32 @@ class LorentzElement:
         m = np.array(matrix, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"Lorentz matrix must be 4x4, got {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("Lorentz matrix must have finite entries")
         if validate:
             tol = resolve_tol(tol)
-            defect = frobenius(m.T @ METRIC @ m, METRIC)
+            # (m^T * signs) is m^T g entry for entry, without the zeros
+            defect = _norm((m.T * _METRIC_SIGNS) @ m - METRIC)
             # the defect of a rounded Lorentz matrix grows with |m|^2
-            scale = max(1.0, float(np.sum(m * m)))
+            flat = m.ravel()
+            scale = max(1.0, float(flat.dot(flat)))
             if defect > 10.0 * tol * scale:
                 raise ValueError(f"matrix does not preserve the metric (defect {defect:.3e})")
         m.setflags(write=False)
         self._m = m
         self._det = None
+
+    @classmethod
+    def _product(cls, m):
+        """Wrap a freshly computed product of Lorentz matrices: it is 4x4
+        and owned by the caller, so only finiteness is checked."""
+        if not np.isfinite(m).all():
+            raise ValueError("Lorentz matrix must have finite entries")
+        m.setflags(write=False)
+        out = cls.__new__(cls)
+        out._m = m
+        out._det = None
+        return out
 
     @classmethod
     def identity(cls):
@@ -230,13 +256,13 @@ class LorentzElement:
 
     def inverse(self):
         # Group inverse g m^T g; exact up to the input's own metric defect.
-        return LorentzElement(METRIC @ self._m.T @ METRIC, validate=False)
+        return LorentzElement._product(METRIC @ self._m.T @ METRIC)
 
     def apply(self, v):
         return FourVector.from_array(self._m @ v.array)
 
     def __matmul__(self, other):
-        return LorentzElement(self._m @ other._m, validate=False)
+        return LorentzElement._product(self._m @ other._m)
 
     def distance_to(self, other):
         return frobenius(self._m, other._m)
@@ -301,7 +327,7 @@ class PoincareElement:
     def is_identity(self, tol=1e-9):
         return (
             frobenius(self._lorentz.m, _I4) <= tol
-            and float(np.linalg.norm(self._translation.array)) <= tol
+            and _norm(self._translation.array) <= tol
         )
 
     def distance_to(self, other):
@@ -339,8 +365,8 @@ def _rotation_axis_angle(o, tol):
     part degenerates, it is recovered from the symmetric part instead.
     """
     w = 0.5 * np.array([o[2, 1] - o[1, 2], o[0, 2] - o[2, 0], o[1, 0] - o[0, 1]])
-    s = float(np.linalg.norm(w))
-    c = float(np.clip((np.trace(o) - 1.0) / 2.0, -1.0, 1.0))
+    s = _norm(w)
+    c = min(1.0, max(-1.0, (float(np.trace(o)) - 1.0) / 2.0))
     angle = float(np.arctan2(s, c))
     if angle <= tol:
         return 0.0, None
@@ -384,7 +410,7 @@ def polar_decompose(lam, tol=None):
 
     angle, axis = _rotation_axis_angle(rot_m[1:, 1:], tol)
     bvec = boost_m[1:, 0]
-    speed = float(np.linalg.norm(bvec))
+    speed = _norm(bvec)
     rapidity = float(np.arcsinh(speed))
     boost_dir = bvec / speed if rapidity > tol else None
     if boost_dir is None:
@@ -403,7 +429,7 @@ def polar_decompose(lam, tol=None):
 
 def _unit3(direction, tol, what):
     d = _finite_floats(direction, (3,), what)
-    n = float(np.linalg.norm(d))
+    n = _norm(d)
     if n < tol:
         raise ZeroAxis(f"{what} has norm {n:.3e} below tolerance")
     return d / n

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import NotAdmissible, NotCommuting, PreconditionViolated, ZeroAxis
 from .minkowski import (
     METRIC,
+    _I4,
     ConjugacyClass,
     FourVector,
     LorentzElement,
@@ -70,10 +71,15 @@ class Reflection:
 
     def _validate(self, tol):
         lam = self._g.lorentz.m
-        square = self._g @ self._g
-        if not square.is_identity(100 * tol):
+        a = self._g.translation.array
+        # g * g = (lam lam, a + lam a); written out, it is the identity test
+        # of PoincareElement.is_identity without building the product
+        if not (
+            frobenius(lam @ lam, _I4) <= 100 * tol
+            and frobenius(a + lam @ a) <= 100 * tol
+        ):
             raise PreconditionViolated("element does not square to the identity")
-        if abs(np.linalg.det(lam) - 1.0) > 1e3 * tol:
+        if abs(self._g.lorentz.det - 1.0) > 1e3 * tol:
             raise PreconditionViolated("element does not have unit determinant")
         if lam[0, 0] >= 0:
             raise PreconditionViolated("element does not reverse time orientation")
@@ -172,7 +178,7 @@ def is_reflection(element, tol=None) -> bool:
 
 def _unit_spatial(direction):
     d = np.asarray(direction, dtype=float).reshape(3)
-    n = np.linalg.norm(d)
+    n = frobenius(d)
     if n < 1e-12:
         raise ZeroAxis("spatial direction has zero length")
     return d / n
@@ -192,7 +198,7 @@ def perpendicular_unit(v):
     axis = np.zeros(3)
     axis[pick] = 1.0
     w = axis - np.dot(axis, v) * v
-    w /= np.linalg.norm(w)
+    w /= frobenius(w)
     return canonical_sign(w)
 
 
@@ -213,21 +219,28 @@ def admissible_directions(lam: LorentzElement, tol=None):
 def _admissible_from_polar(pd):
     r_axis, b_dir = pd.axis, pd.boost_dir
     if r_axis is not None and b_dir is not None:
-        cross = np.cross(r_axis, b_dir)
-        n = np.linalg.norm(cross)
+        cross = _cross(r_axis, b_dir)
+        n = frobenius(cross)
         if n > 1e-8:
             e = canonical_sign(cross / n)
             return e, -e
         # parallel axes: anything orthogonal to the common line works
         e1 = perpendicular_unit(r_axis)
-        e2 = np.cross(r_axis, e1)
-        return e1, canonical_sign(e2 / np.linalg.norm(e2))
+        e2 = _cross(r_axis, e1)
+        return e1, canonical_sign(e2 / frobenius(e2))
     constraint = r_axis if r_axis is not None else b_dir
     if constraint is None:
         return np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
     e1 = perpendicular_unit(constraint)
-    e2 = np.cross(constraint / np.linalg.norm(constraint), e1)
+    e2 = _cross(constraint / frobenius(constraint), e1)
     return e1, canonical_sign(e2)
+
+
+def _cross(a, b):
+    """Cross product of two spatial 3-vectors, term for term as np.cross."""
+    a1, a2, a3 = a.tolist()
+    b1, b2, b3 = b.tolist()
+    return np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
 
 
 def factor_into_reflections(lam: LorentzElement, direction=None, tol=None):
