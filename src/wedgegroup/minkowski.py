@@ -190,7 +190,7 @@ class LorentzElement:
     ``is_proper`` / ``is_orthochronous`` to classify.
     """
 
-    __slots__ = ("_m", "_det")
+    __slots__ = ("_m", "_det", "_polar")
 
     def __init__(self, matrix, tol=None, validate=True):
         m = np.array(matrix, dtype=float)
@@ -210,6 +210,7 @@ class LorentzElement:
         m.setflags(write=False)
         self._m = m
         self._det = None
+        self._polar = None
 
     @classmethod
     def _product(cls, m):
@@ -221,6 +222,7 @@ class LorentzElement:
         out = cls.__new__(cls)
         out._m = m
         out._det = None
+        out._polar = None
         return out
 
     @classmethod
@@ -340,7 +342,8 @@ class PoincareElement:
 @dataclass(frozen=True)
 class PolarData:
     """Unique factorization lam = rotation . boost of a proper orthochronous
-    element, together with axis/angle and direction/rapidity parameters."""
+    element, together with axis/angle and direction/rapidity parameters.
+    ``axis`` and ``boost_dir`` are read-only unit 3-vectors (or None)."""
 
     rotation: LorentzElement
     boost: LorentzElement
@@ -396,9 +399,18 @@ def polar_decompose(lam, tol=None):
     squaring the condition number first would cost four extra digits at
     rapidity five.
 
+    The split is computed once per element and tolerance: lam keeps the
+    result for the last resolved tol, and a call at the same tol returns
+    that same PolarData (a call at another tol recomputes, since the axis
+    and boost thresholds depend on it).  Because callers share it, its
+    ``axis`` and ``boost_dir`` arrays are read-only.
+
     Raises NotProper / NotOrthochronous for inputs off the identity component.
     """
     tol = resolve_tol(tol)
+    cached = lam._polar
+    if cached is not None and cached[0] == tol:
+        return cached[1]
     lam.require_proper_orthochronous(tol)
     m = lam.m
     u, s, vh = np.linalg.svd(m)
@@ -415,9 +427,13 @@ def polar_decompose(lam, tol=None):
     boost_dir = bvec / speed if rapidity > tol else None
     if boost_dir is None:
         rapidity = 0.0
+    else:
+        boost_dir.setflags(write=False)
     if axis is None:
         angle = 0.0
-    return PolarData(
+    else:
+        axis.setflags(write=False)
+    pd = PolarData(
         rotation=LorentzElement(rot_m, tol=tol),
         boost=LorentzElement(boost_m, tol=tol),
         axis=axis,
@@ -425,6 +441,8 @@ def polar_decompose(lam, tol=None):
         boost_dir=boost_dir,
         rapidity=rapidity,
     )
+    lam._polar = (tol, pd)
+    return pd
 
 
 def _unit3(direction, tol, what):

@@ -27,6 +27,7 @@ from .minkowski import (
 )
 from .reflections import (
     Reflection,
+    _cross,
     _unit_spatial,
     perpendicular_unit,
     reflection_about_axis,
@@ -264,19 +265,19 @@ def verify_axioms(J: ReflectionMap, samples: int, seed, tol=None, threshold=1e-7
 
 def _admissible_pair(axis):
     e1 = perpendicular_unit(axis)
-    e2 = np.cross(axis / np.linalg.norm(axis), e1)
+    e2 = _cross(axis / frobenius(axis), e1)
     return e1, e2
 
 
-def _v_from_factor(J, lam: LorentzElement, e) -> TargetElement:
-    flip = reflection_about_axis(e)
+def _v_from_factor(J, lam: LorentzElement, e, tol) -> TargetElement:
+    flip = reflection_about_axis(e, tol)
     first = Reflection(PoincareElement(lam) @ flip.element, validate=False)
     return J(first) @ J(flip)
 
 
-def _v_with_crosscheck(J, lam, e_main, e_alt, what):
-    value = _v_from_factor(J, lam, e_main)
-    alt = _v_from_factor(J, lam, e_alt)
+def _v_with_crosscheck(J, lam, e_main, e_alt, what, tol):
+    value = _v_from_factor(J, lam, e_main, tol)
+    alt = _v_from_factor(J, lam, e_alt, tol)
     scale = max(1.0, float(np.linalg.norm(value.matrix)))
     if value.distance_to(alt) > _CROSS_TOL * scale:
         raise AxiomViolation(
@@ -304,10 +305,10 @@ def v_of_rotation(J: ReflectionMap, rot: LorentzElement, direction=None, tol=Non
         e = _unit_spatial(direction)
         if pd.axis is not None and abs(float(np.dot(e, pd.axis))) > 1e-8:
             raise NotAdmissible("direction is not orthogonal to the rotation axis")
-        return _v_from_factor(J, pd.rotation, e)
+        return _v_from_factor(J, pd.rotation, e, tol)
     axis = pd.axis if pd.axis is not None else np.array([0.0, 0.0, 1.0])
     e1, e2 = _admissible_pair(axis)
-    return _v_with_crosscheck(J, pd.rotation, e1, e2, "rotation")
+    return _v_with_crosscheck(J, pd.rotation, e1, e2, "rotation", tol)
 
 
 def v_of_boost(J: ReflectionMap, boost: LorentzElement, direction=None, tol=None) -> TargetElement:
@@ -321,10 +322,10 @@ def v_of_boost(J: ReflectionMap, boost: LorentzElement, direction=None, tol=None
         e = _unit_spatial(direction)
         if pd.boost_dir is not None and abs(float(np.dot(e, pd.boost_dir))) > 1e-8:
             raise NotAdmissible("direction is not orthogonal to the boost direction")
-        return _v_from_factor(J, pd.boost, e)
+        return _v_from_factor(J, pd.boost, e, tol)
     axis = pd.boost_dir if pd.boost_dir is not None else np.array([0.0, 0.0, 1.0])
     e1, e2 = _admissible_pair(axis)
-    return _v_with_crosscheck(J, pd.boost, e1, e2, "boost")
+    return _v_with_crosscheck(J, pd.boost, e1, e2, "boost", tol)
 
 
 def v_of_lorentz(J: ReflectionMap, lam: LorentzElement, tol=None) -> TargetElement:
@@ -488,17 +489,17 @@ def verify_homomorphism(J: ReflectionMap, samples: int, seed, tol=None, threshol
             axis = random_unit3(rng)
             u, v = rng.uniform(-1.5, 1.5, size=2)
             if i % 8 == 2:
-                make = lambda s: make_rotation(axis, s)
+                make = lambda s: make_rotation(axis, s, tol)
                 of = lambda m: v_of_rotation(J, m, tol=tol)
             else:
-                make = lambda s: make_boost(axis, abs(s))
+                make = lambda s: make_boost(axis, abs(s), tol)
                 of = lambda m: v_of_boost(J, m, tol=tol)
                 u, v = abs(u), abs(v)
             lhs = of(make(u + v))
             rhs = of(make(u)) @ of(make(v))
         else:
-            rot = make_rotation(random_unit3(rng), float(rng.uniform(0.0, np.pi)))
-            boost = make_boost(random_unit3(rng), float(rng.uniform(0.0, 2.5)))
+            rot = make_rotation(random_unit3(rng), float(rng.uniform(0.0, np.pi)), tol)
+            boost = make_boost(random_unit3(rng), float(rng.uniform(0.0, 2.5)), tol)
             vr = v_of_rotation(J, rot, tol=tol)
             lhs = vr @ v_of_boost(J, boost, tol=tol) @ vr.inverse()
             rhs = v_of_lorentz(J, rot @ boost @ rot.inverse(), tol=tol)

@@ -61,7 +61,8 @@ class Reflection:
     __slots__ = ("_g", "_plane")
 
     def __init__(self, element, tol=None, validate=True):
-        tol = resolve_tol(tol)
+        if validate:
+            tol = resolve_tol(tol)
         if not isinstance(element, PoincareElement):
             raise TypeError("expected a PoincareElement")
         self._g = element
@@ -388,9 +389,9 @@ def _l0_parameters(m):
     return angle, rapidity, residual
 
 
-def _l0_element(angle, rapidity):
-    rot = make_rotation([0.0, 0.0, 1.0], angle)
-    boost = make_boost([0.0, 0.0, 1.0], rapidity)
+def _l0_element(angle, rapidity, tol):
+    rot = make_rotation([0.0, 0.0, 1.0], angle, tol)
+    boost = make_boost([0.0, 0.0, 1.0], rapidity, tol)
     return rot.m @ boost.m
 
 
@@ -421,7 +422,7 @@ def verify_ambiguity_classification(lam: LorentzElement, trials: int, seed, tol=
     for _ in range(int(trials)):
         alpha = float(rng.uniform(-np.pi, np.pi))
         beta = float(rng.uniform(-2.0, 2.0))
-        commuting = LorentzElement(f @ _l0_element(alpha, beta) @ f_inv, validate=False)
+        commuting = LorentzElement(f @ _l0_element(alpha, beta, tol) @ f_inv, validate=False)
         g1, g2 = ambiguity_conjugate(commuting, (r1, r2), tol=tol)
         # move everything into the block frame; there conjugation by a
         # commuting element d acts as x -> x d^-2, so d^2 is read off from
@@ -436,8 +437,8 @@ def verify_ambiguity_classification(lam: LorentzElement, trials: int, seed, tol=
         c2 = f_inv @ r2.element.lorentz.m @ f
         d_sq = t1 @ c1
         angle, rapidity, block_res = _l0_parameters(d_sq)
-        d = _l0_element(0.5 * angle, 0.5 * rapidity)
-        d_inv = _l0_element(-0.5 * angle, -0.5 * rapidity)
+        d = _l0_element(0.5 * angle, 0.5 * rapidity, tol)
+        d_inv = _l0_element(-0.5 * angle, -0.5 * rapidity, tol)
         scale = max(1.0, frobenius(t1), frobenius(t2), frobenius(d_sq))
         defect = max(
             frobenius(d @ c1 @ d_inv - t1),

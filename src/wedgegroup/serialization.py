@@ -8,8 +8,8 @@ rendering, hence the small hand-rolled emitter.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -31,7 +31,7 @@ __all__ = [
 
 
 def _float_repr(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError("non-finite float cannot be serialized")
     if x == 0.0:
         x = 0.0  # normalize the sign of zero
@@ -46,40 +46,61 @@ def canonical_dumps(obj) -> str:
 
 
 def _emit(obj, out):
-    if obj is None:
+    # the exact types that make up most of a payload first; subclasses
+    # (np.float64, named tuples, ...) take the isinstance chain
+    kind = type(obj)
+    if kind is float:
+        out.append(_float_repr(obj))
+    elif kind is list or kind is tuple:
+        _emit_sequence(obj, out)
+    elif kind is dict:
+        _emit_dict(obj, out)
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_quote(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(_float_repr(float(obj)))
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError("object keys must be strings")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _emit(obj[key], out)
-        out.append("}")
+        _emit_dict(obj, out)
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
+        _emit_sequence(obj, out)
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _emit_dict(obj, out):
+    out.append("{")
+    for i, key in enumerate(sorted(obj)):
+        if not isinstance(key, str):
+            raise TypeError("object keys must be strings")
+        if i:
+            out.append(",")
+        out.append(_quote(key))
+        out.append(":")
+        _emit(obj[key], out)
+    out.append("}")
+
+
+def _emit_sequence(obj, out):
+    if all(type(item) is float for item in obj):
+        # a flat list of floats, the bulk of every payload, in one join
+        out.append("[" + ",".join([_float_repr(item) for item in obj]) + "]")
+        return
+    out.append("[")
+    for i, item in enumerate(obj):
+        if i:
+            out.append(",")
+        _emit(item, out)
+    out.append("]")
 
 
 def _real_list(values, expected=None):
@@ -92,11 +113,11 @@ def _real_list(values, expected=None):
 
 
 def four_vector_to_json(v: FourVector):
-    return [float(c) for c in v.array]
+    return v.array.tolist()
 
 
 def matrix_to_json(m: LorentzElement):
-    return [float(x) for x in m.m.ravel()]
+    return m.m.ravel().tolist()
 
 
 def poincare_to_json(g: PoincareElement):
@@ -122,10 +143,9 @@ def wedge_to_json(w: Wedge):
 
 def complex_matrix_to_json(m):
     arr = np.asarray(m, dtype=complex)
-    return [
-        [[float(entry.real), float(entry.imag)] for entry in row]
-        for row in arr
-    ]
+    if arr.ndim != 2:
+        raise ValueError("expected a matrix")
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def complex_matrix_from_json(data) -> np.ndarray:
@@ -139,7 +159,7 @@ def complex_matrix_from_json(data) -> np.ndarray:
 
 def complex_vector_to_json(v):
     arr = np.asarray(v, dtype=complex).ravel()
-    return [[float(x.real), float(x.imag)] for x in arr]
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def complex_vector_from_json(data) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .minkowski import frobenius, make_boost
+from .minkowski import FourVector, PoincareElement, frobenius, make_boost, make_rotation
 from .modular import (
     block_factor_algebra,
     entangled_vector,
@@ -20,9 +20,7 @@ from .modular import (
 from .reconstruction import (
     builtin_map,
     random_conjugated_map,
-    reference_reflection,
     translation_reflection,
-    u_poincare,
     u_translation,
     u_translation_fixed_reflection,
     v_of_boost,
@@ -39,7 +37,6 @@ from .reflections import (
     verify_ambiguity_classification,
 )
 from .sampling import random_lorentz, random_reflection, random_unit3
-from .minkowski import FourVector, PoincareElement, make_rotation
 
 __all__ = ["run_suite", "SUITE_CHECKS"]
 

@@ -195,6 +195,7 @@ def act(g, w, tol=None):
     The transformed normals are rescaled back to time component 1, which
     leaves the defining inequalities unchanged up to positive factors.
     """
+    tol = resolve_tol(tol)
     g.lorentz.require_proper_orthochronous(tol)
     m = g.lorentz.m
     l1 = FourVector.from_array(m @ w.l1.array)

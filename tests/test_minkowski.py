@@ -224,3 +224,50 @@ def test_poincare_composition_and_inverse():
     assert (g @ h).apply(x).isclose(g.apply(h.apply(x)), tol=1e-12)
     assert (g @ g.inverse()).is_identity(tol=1e-12)
     assert (g.inverse() @ g).is_identity(tol=1e-12)
+
+
+def test_polar_split_is_computed_once_per_element(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    lam = make_rotation([1, 2, 3], 0.7) @ make_boost([0, 1, -1], 1.3)
+    pd = polar_decompose(lam)
+    assert polar_decompose(lam) is pd
+    assert polar_decompose(lam, tol=1e-9) is pd
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("first", [1e-9, 1e-6])
+def test_polar_split_follows_the_tolerance(first):
+    # rapidity 1e-7 is a boost at tol 1e-9 and the identity at tol 1e-6,
+    # whichever tolerance the element saw first
+    lam = make_boost([1, 0, 0], 1e-7)
+    order = (first, 1e-6 if first == 1e-9 else 1e-9)
+    for tol in order + order:
+        pd = polar_decompose(lam, tol=tol)
+        if tol == 1e-9:
+            assert pd.boost_dir is not None
+            assert pd.rapidity == pytest.approx(1e-7)
+        else:
+            assert pd.boost_dir is None
+            assert pd.rapidity == 0.0
+
+
+def test_failed_polar_split_is_not_cached():
+    antichronous = LorentzElement(-np.eye(4))
+    for _ in range(3):
+        with pytest.raises(NotOrthochronous):
+            polar_decompose(antichronous)
+
+
+def test_polar_data_arrays_are_read_only():
+    pd = polar_decompose(make_rotation([0, 0, 1], 0.4) @ make_boost([1, 0, 0], 0.3))
+    with pytest.raises(ValueError):
+        pd.axis[0] = 0.0
+    with pytest.raises(ValueError):
+        pd.boost_dir[0] = 0.0
