@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AxiomViolation, BadSpec, NotAdmissible, NotProper, PreconditionViolated
+from .errors import (
+    AxiomViolation, BadSpec, DegenerateEdge, NotAdmissible, NotProper, PreconditionViolated
+)
 from .minkowski import (
     METRIC,
+    _I4,
     FourVector,
     LorentzElement,
     PoincareElement,
@@ -34,7 +37,6 @@ from .reflections import (
     reflection_conjugator,
 )
 from .tolerances import resolve_tol
-from .wedges import _minkowski_orthonormal_pair
 
 __all__ = [
     "TargetElement",
@@ -134,13 +136,6 @@ class ReflectionMap:
         return f"ReflectionMap({self.descriptor!r})"
 
 
-def _affine(g: PoincareElement) -> np.ndarray:
-    out = np.eye(5)
-    out[:4, :4] = g.lorentz.m
-    out[:4, 4] = g.translation.array
-    return out
-
-
 _PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
@@ -178,7 +173,7 @@ def builtin_map(spec) -> ReflectionMap:
     kind = spec["kind"]
     if kind == "tautological":
         def evaluate(r: Reflection) -> TargetElement:
-            return TargetElement(_affine(r.element), antilinear=True)
+            return TargetElement(r.element.affine(), antilinear=True)
 
         return ReflectionMap(evaluate, {"kind": "tautological"}, 5)
     if kind == "conjugated":
@@ -200,7 +195,7 @@ def builtin_map(spec) -> ReflectionMap:
         ghat_inv = np.linalg.inv(ghat)
 
         def evaluate(r: Reflection) -> TargetElement:
-            return TargetElement(ghat @ _affine(r.element) @ ghat_inv, antilinear=True)
+            return TargetElement(ghat @ r.element.affine() @ ghat_inv, antilinear=True)
 
         return ReflectionMap(evaluate, {"kind": "conjugated", "G": [float(v) for v in flat]}, 5)
     if kind == "spinorial-negative":
@@ -271,7 +266,7 @@ def _admissible_pair(axis):
 
 def _v_from_factor(J, lam: LorentzElement, e, tol) -> TargetElement:
     flip = reflection_about_axis(e, tol)
-    first = Reflection(PoincareElement(lam) @ flip.element, validate=False)
+    first = Reflection(PoincareElement(lam @ flip.element.lorentz), validate=False)
     return J(first) @ J(flip)
 
 
@@ -381,9 +376,15 @@ def u_translation_fixed_reflection(J: ReflectionMap, refl: Reflection, x: FourVe
 def translation_reflection(z: FourVector, companion=None) -> Reflection:
     """A linear reflection negating the timelike vector z.
 
-    The negated plane is spanned by z and a companion spatial axis; the
+    The negated plane is spanned by z and a companion spatial axis c; the
     default companion is the coordinate axis least aligned with z, so the
-    construction is deterministic.
+    construction is deterministic.  With a = z.z, b = z.c and d = c.c, the
+    Minkowski projector onto the plane is the inverse of its 2x2 Gram matrix,
+
+        P x = [(d (z.x) - b (c.x)) z + (a (c.x) - b (z.x)) c] / (a d - b^2),
+
+    and the reflection is 1 - 2P.  The plane is timelike exactly when
+    a d - b^2 < 0; DegenerateEdge is raised otherwise.
     """
     arr = z.array
     if companion is None:
@@ -392,10 +393,13 @@ def translation_reflection(z: FourVector, companion=None) -> Reflection:
         companion[1 + idx] = 1.0
     else:
         companion = np.asarray(companion, dtype=float).reshape(4)
-    tau, sigma = _minkowski_orthonormal_pair(arr, companion, signs=(1, -1))
-    proj = (np.outer(tau, tau) - np.outer(sigma, sigma)) @ METRIC
-    lam = LorentzElement(np.eye(4) - 2.0 * proj, validate=False)
-    return Reflection(PoincareElement(lam), validate=False)
+    gz, gc = METRIC @ arr, METRIC @ companion
+    a, b, d = float(arr @ gz), float(arr @ gc), float(companion @ gc)
+    det = a * d - b * b
+    if not det < 0.0:
+        raise DegenerateEdge("the plane of z and its companion is not timelike")
+    proj = (np.outer(d * arr - b * companion, gz) + np.outer(a * companion - b * arr, gc)) / det
+    return Reflection(PoincareElement(LorentzElement._product(_I4 - 2.0 * proj)), validate=False)
 
 
 def _second_companion(arr):

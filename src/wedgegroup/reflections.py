@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 
+_TIME_FLIP = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+
 class Reflection:
     """An involutive, unit-determinant, time-reversing Poincare element.
 
@@ -94,7 +97,7 @@ class Reflection:
                 "fixed-point set is not a two-dimensional plane"
             )
 
-    def _fixed_plane(self, tol):
+    def _fixed_plane(self):
         lam = self._g.lorentz.m
         a = self._g.translation.array
         # fixed points of x -> lam x + a form (a/2) + ker(lam - 1):
@@ -120,8 +123,11 @@ class Reflection:
 
     @property
     def fixed_plane(self) -> EdgePlane:
+        """The fixed plane, found as the null space of lam - 1 in the
+        singular values; the rank test uses a fixed relative threshold of
+        1e-6, not the resolved tolerance."""
         if self._plane is None:
-            self._plane = self._fixed_plane(resolve_tol(None))
+            self._plane = self._fixed_plane()
         return self._plane
 
     def apply(self, x: FourVector) -> FourVector:
@@ -144,13 +150,11 @@ def reflection_about_axis(direction, tol=None) -> Reflection:
     Fixes the spatial plane orthogonal to the direction; for the z axis the
     matrix is diag(-1, 1, 1, -1).
     """
-    tol = resolve_tol(tol)
+    resolve_tol(tol)  # rejects a bad tolerance; the matrix itself is exact
     e = _unit_spatial(direction)
-    m = np.eye(4)
-    m[0, 0] = -1.0
+    m = _TIME_FLIP.copy()
     m[1:, 1:] -= 2.0 * np.outer(e, e)
-    lam = LorentzElement(m, tol=tol, validate=False)
-    return Reflection(PoincareElement(lam), tol=tol, validate=False)
+    return Reflection(PoincareElement(LorentzElement._product(m)), validate=False)
 
 
 def reflection_for_wedge(w: Wedge, tol=None) -> Reflection:
@@ -161,11 +165,15 @@ def reflection_for_wedge(w: Wedge, tol=None) -> Reflection:
     x -> (1 - 2P) x + 2P p: it negates span{l1, l2} and fixes the edge
     through p pointwise.
     """
-    tol = resolve_tol(tol)
-    proj = _normal_projector(w)
-    lam = LorentzElement(np.eye(4) - 2.0 * proj, tol=tol, validate=False)
-    a = FourVector.from_array(2.0 * proj @ w.p.array)
-    return Reflection(PoincareElement(lam, a), tol=tol, validate=False)
+    resolve_tol(tol)  # rejects a bad tolerance; the construction has no test
+    return _reflection_from_normals(w.l1.array, w.l2.array, w.p.array)
+
+
+def _reflection_from_normals(l1, l2, p):
+    """reflection_for_wedge on the raw normal and edge-point arrays."""
+    proj = _normal_projector(l1, l2)
+    lam = LorentzElement._product(_I4 - 2.0 * proj)
+    return Reflection(PoincareElement(lam, FourVector.from_array(2.0 * proj @ p)), validate=False)
 
 
 def is_reflection(element, tol=None) -> bool:

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .minkowski import FourVector, LorentzElement, PoincareElement, make_boost, make_rotation
-from .reflections import Reflection, reflection_about_axis, reflection_for_wedge
-from .wedges import Wedge, act, standard_wedge
+from .minkowski import FourVector, LorentzElement, PoincareElement, _norm, make_boost, make_rotation
+from .reflections import Reflection, _reflection_from_normals, reflection_about_axis
+from .tolerances import resolve_tol
+from .wedges import Wedge, _check_normals, _normalized_rays, _standard_normals
 
 __all__ = [
     "random_unit3",
@@ -36,10 +37,10 @@ def _reference_flip():
 
 def random_unit3(rng) -> np.ndarray:
     v = rng.normal(size=3)
-    n = np.linalg.norm(v)
+    n = _norm(v)
     while n < 1e-12:  # pragma: no cover - probability zero in practice
         v = rng.normal(size=3)
-        n = np.linalg.norm(v)
+        n = _norm(v)
     return v / n
 
 
@@ -72,10 +73,27 @@ def random_poincare(rng, max_rapidity=3.0, scale=2.0) -> PoincareElement:
     return PoincareElement(random_lorentz(rng, max_rapidity), random_translation(rng, scale))
 
 
+def _wedge_arrays(rng, max_rapidity):
+    """random_wedge as raw arrays (l1, l2, p), with the draws, arithmetic and checks
+    of act(random_poincare(rng, max_rapidity), standard_wedge(random_unit3(rng)))."""
+    tol = resolve_tol(None)
+    lam = random_lorentz(rng, max_rapidity)
+    a = random_translation(rng).array  # the image of the edge point 0
+    l1, l2 = _standard_normals(random_unit3(rng), tol)
+    _check_normals(l1, l2, tol)
+    lam.require_proper_orthochronous(tol)
+    l1, l2 = _normalized_rays(lam.m @ l1, lam.m @ l2)
+    _check_normals(l1, l2, tol)
+    return l1, l2, a
+
+
 def random_wedge(rng, max_rapidity=2.0) -> Wedge:
-    return act(random_poincare(rng, max_rapidity), standard_wedge(random_unit3(rng)))
+    l1, l2, a = _wedge_arrays(rng, max_rapidity)
+    return Wedge(FourVector.from_array(l1), FourVector.from_array(l2), FourVector.from_array(a))
 
 
 def random_reflection(rng, max_rapidity=2.0) -> Reflection:
-    """Reflection about the edge of a random wedge; translation part included."""
-    return reflection_for_wedge(random_wedge(rng, max_rapidity))
+    """Reflection about the edge of a random wedge; translation part included.
+    Draws in the same order as random_wedge, and equals reflection_for_wedge of
+    random_wedge(rng, max_rapidity) exactly, without building the wedge."""
+    return _reflection_from_normals(*_wedge_arrays(rng, max_rapidity))

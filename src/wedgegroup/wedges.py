@@ -21,6 +21,7 @@ from .minkowski import (
     FourVector,
     LorentzElement,
     PoincareElement,
+    _norm,
     classify_vector,
     CausalClass,
     minkowski_inner,
@@ -117,36 +118,32 @@ def minkowski_inner_arr(a, b):
     return float(a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3])
 
 
+def _check_normals(l1, l2, tol):
+    """ValueError unless arrays l1, l2 are distinct lightlike normals with t = 1."""
+    for name, arr in (("l1", l1), ("l2", l2)):
+        scale = max(1.0, float(arr @ arr))
+        if abs(minkowski_inner_arr(arr, arr)) > 10.0 * tol * scale:
+            raise ValueError(f"{name} is not lightlike")
+        if abs(arr[0] - 1.0) > 10.0 * tol:
+            raise ValueError(f"{name} must be normalized to time component 1")
+    if _norm(l1 - l2) <= 1e3 * tol:
+        raise ValueError("the two lightlike normals must be distinct")
+
+
 class Wedge:
     """Open wedge region determined by two lightlike normals and an edge point."""
 
     __slots__ = ("_l1", "_l2", "_p")
 
     def __init__(self, l1, l2, p, tol=None):
-        tol = resolve_tol(tol)
-        for name, l in (("l1", l1), ("l2", l2)):
-            arr = l.array
-            scale = max(1.0, float(arr @ arr))
-            if abs(minkowski_inner(l, l)) > 10.0 * tol * scale:
-                raise ValueError(f"{name} is not lightlike")
-            if abs(arr[0] - 1.0) > 10.0 * tol:
-                raise ValueError(f"{name} must be normalized to time component 1")
-        if float(np.linalg.norm(l1.array - l2.array)) <= 1e3 * tol:
-            raise ValueError("the two lightlike normals must be distinct")
+        _check_normals(l1.array, l2.array, resolve_tol(tol))
         self._l1, self._l2, self._p = l1, l2, p
 
     @classmethod
     def from_rays(cls, l1, l2, p, tol=None):
         """Build a wedge from unnormalized future-lightlike rays."""
-        a1, a2 = l1.array, l2.array
-        if a1[0] <= 0 or a2[0] <= 0:
-            raise ValueError("normals must be future lightlike")
-        return cls(
-            FourVector.from_array(a1 / a1[0]),
-            FourVector.from_array(a2 / a2[0]),
-            p,
-            tol=tol,
-        )
+        a1, a2 = _normalized_rays(l1.array, l2.array)
+        return cls(FourVector.from_array(a1), FourVector.from_array(a2), p, tol=tol)
 
     @property
     def l1(self):
@@ -176,17 +173,29 @@ class Wedge:
         return f"Wedge(l1={self._l1!r}, l2={self._l2!r}, p={self._p!r})"
 
 
-def standard_wedge(e, tol=None):
-    """Wedge about the spatial unit direction e with edge through the origin."""
-    tol = resolve_tol(tol)
+def _normalized_rays(a1, a2):
+    """Future-lightlike ray arrays rescaled to time component 1."""
+    if a1[0] <= 0 or a2[0] <= 0:
+        raise ValueError("normals must be future lightlike")
+    return a1 / a1[0], a2 / a2[0]
+
+
+def _standard_normals(e, tol):
+    """Normal arrays (1, e) and (1, -e) of the standard wedge about e."""
     e = np.asarray(e, dtype=float)
-    n = float(np.linalg.norm(e))
+    n = _norm(e)
     if n < tol:
         raise ZeroAxis("wedge direction has norm below tolerance")
     e = e / n
-    l1 = FourVector(1.0, *e)
-    l2 = FourVector(1.0, *(-e))
-    return Wedge(l1, l2, FourVector(0.0, 0.0, 0.0, 0.0), tol=tol)
+    return np.concatenate(([1.0], e)), np.concatenate(([1.0], -e))
+
+
+def standard_wedge(e, tol=None):
+    """Wedge about the spatial unit direction e with edge through the origin."""
+    tol = resolve_tol(tol)
+    l1, l2 = _standard_normals(e, tol)
+    origin = FourVector(0.0, 0.0, 0.0, 0.0)
+    return Wedge(FourVector.from_array(l1), FourVector.from_array(l2), origin, tol=tol)
 
 
 def act(g, w, tol=None):
@@ -226,8 +235,8 @@ def edge(w, tol=None):
     )
 
 
-def _normal_projector(w):
-    """Minkowski projector onto span{l1, l2} of a wedge,
+def _normal_projector(l1, l2):
+    """Minkowski projector onto span{l1, l2} of the normal arrays of a wedge,
 
         P x = [(l2.x) l1 + (l1.x) l2] / (l1.l2).
 
@@ -235,7 +244,6 @@ def _normal_projector(w):
     Minkowski-orthogonal complement of span{l1, l2}), so 1 - P projects onto
     the directions of the edge plane.
     """
-    l1, l2 = w.l1.array, w.l2.array
     return (np.outer(l1, METRIC @ l2) + np.outer(l2, METRIC @ l1)) / minkowski_inner_arr(l1, l2)
 
 
@@ -247,14 +255,14 @@ def wedges_equal(w1, w2, tol=1e-9):
     P d (P the projector of w1 onto span{l1, l2}) satisfies
     |P d| <= max(tol, 1e-9) * (1 + |d - P d|) in the Euclidean norm.
     """
-    if float(np.linalg.norm(w1.l1.array - w2.l1.array)) > tol:
+    if _norm(w1.l1.array - w2.l1.array) > tol:
         return False
-    if float(np.linalg.norm(w1.l2.array - w2.l2.array)) > tol:
+    if _norm(w1.l2.array - w2.l2.array) > tol:
         return False
     d = w2.p.array - w1.p.array
-    off = _normal_projector(w1) @ d
-    bound = max(tol, 1e-9) * (1.0 + np.linalg.norm(d - off))
-    return bool(np.linalg.norm(off) <= bound)
+    off = _normal_projector(w1.l1.array, w1.l2.array) @ d
+    bound = max(tol, 1e-9) * (1.0 + _norm(d - off))
+    return bool(_norm(off) <= bound)
 
 
 class DoubleCone:
@@ -305,7 +313,7 @@ def strictly_inside(c, w, neighborhood=1e-6):
     parr = w.p.array
     past, future = c.apex_past.array, c.apex_future.array
     half = 0.5 * (future - past)  # rho * d
-    reach = 1.0 + np.linalg.norm(past + half - parr) + half[0] + np.linalg.norm(half[1:])
+    reach = 1.0 + _norm(past + half - parr) + half[0] + _norm(half[1:])
     m = 2.0 * neighborhood * reach
     return bool(
         minkowski_inner_arr(w.l1.array, future - parr) <= -m

@@ -6,12 +6,14 @@ import pytest
 from wedgegroup import (
     AxiomViolation,
     BadSpec,
+    DegenerateEdge,
     FourVector,
     LorentzElement,
     NotAdmissible,
     NotProper,
     PoincareElement,
     PreconditionViolated,
+    Reflection,
     ReflectionMap,
     TargetElement,
     ambiguity_conjugate,
@@ -23,9 +25,11 @@ from wedgegroup import (
     random_lorentz,
     random_poincare,
     random_reflection,
+    random_unit3,
     reference_reflection,
     reflection_about_axis,
     stability_group_element,
+    translation_reflection,
     u_poincare,
     u_translation,
     u_translation_fixed_reflection,
@@ -37,7 +41,6 @@ from wedgegroup import (
     verify_continuity_probe,
     verify_homomorphism,
 )
-from wedgegroup.reconstruction import _affine
 
 TAUT = builtin_map({"kind": "tautological"})
 
@@ -47,7 +50,7 @@ def _crooked_map(key_row):
     reflection map, and inconsistent across admissible choices."""
 
     def evaluate(r):
-        m = _affine(r.element)
+        m = r.element.affine()
         scale = 1.25 if m[key_row, key_row] > 0 else 0.8
         return TargetElement(scale * m, antilinear=True)
 
@@ -162,13 +165,13 @@ def test_v_of_rotation_identity_and_value():
     rot = make_rotation([0, 1, 0], 1.2)
     val = v_of_rotation(TAUT, rot)
     assert val.antilinear is False
-    assert np.allclose(val.matrix, _affine(PoincareElement(rot)), atol=1e-12)
+    assert np.allclose(val.matrix, PoincareElement(rot).affine(), atol=1e-12)
 
 
 def test_v_of_boost_tautological_value():
     boost = make_boost([0.6, 0, 0.8], 0.9)
     val = v_of_boost(TAUT, boost)
-    assert np.allclose(val.matrix, _affine(PoincareElement(boost)), atol=1e-12)
+    assert np.allclose(val.matrix, PoincareElement(boost).affine(), atol=1e-12)
 
 
 def test_v_of_rotation_conjugated_map():
@@ -177,7 +180,7 @@ def test_v_of_rotation_conjugated_map():
     g = np.eye(5)
     g[:4, :4] = np.asarray(jmap.descriptor["G"]).reshape(4, 4)
     rot = make_rotation([0, 0, 1], 0.4)
-    expected = g @ _affine(PoincareElement(rot)) @ np.linalg.inv(g)
+    expected = g @ PoincareElement(rot).affine() @ np.linalg.inv(g)
     assert np.allclose(v_of_rotation(jmap, rot).matrix, expected, atol=1e-10)
 
 
@@ -214,7 +217,7 @@ def test_v_of_lorentz_tautological():
     for _ in range(1000):
         lam = random_lorentz(rng, max_rapidity=2.0)
         val = v_of_lorentz(TAUT, lam)
-        assert np.allclose(val.matrix, _affine(PoincareElement(lam)), atol=1e-9)
+        assert np.allclose(val.matrix, PoincareElement(lam).affine(), atol=1e-9)
 
 
 def test_v_equals_any_factorization_pair():
@@ -243,7 +246,7 @@ def test_v_of_proper_reference_and_restriction():
     for _ in range(1000):
         linear = random_reflection(rng).element.lorentz
         got = v_of_proper(TAUT, linear)
-        assert got.distance_to(TargetElement(_affine(PoincareElement(linear)), True)) <= 1e-10
+        assert got.distance_to(TargetElement(PoincareElement(linear).affine(), True)) <= 1e-10
 
 
 def test_v_of_proper_cross_component_homomorphism():
@@ -272,7 +275,7 @@ def test_u_translation_fixed_reflection():
 
     x = FourVector(0.7, 0, 0, -1.2)  # negated by lam: t and z components only
     val = u_translation_fixed_reflection(TAUT, lam, x)
-    assert np.allclose(val.matrix, _affine(PoincareElement.from_translation(x)), atol=1e-12)
+    assert np.allclose(val.matrix, PoincareElement.from_translation(x).affine(), atol=1e-12)
     back = u_translation_fixed_reflection(TAUT, lam, -x)
     assert (val @ back).is_identity(tol=1e-12)
 
@@ -286,7 +289,7 @@ def test_u_translation_values_and_additivity():
     z = FourVector(0, 1, 0, 0)
     assert np.allclose(
         u_translation(TAUT, z).matrix,
-        _affine(PoincareElement.from_translation(z)),
+        PoincareElement.from_translation(z).affine(),
         atol=1e-12,
     )
     rng = np.random.default_rng(29)
@@ -314,11 +317,62 @@ def test_u_poincare_tautological_and_reflections():
     rng = np.random.default_rng(37)
     for _ in range(1000):
         g = random_poincare(rng, max_rapidity=2.0)
-        assert np.allclose(u_poincare(TAUT, g).matrix, _affine(g), atol=1e-8)
+        assert np.allclose(u_poincare(TAUT, g).matrix, g.affine(), atol=1e-8)
     for _ in range(50):
         r = random_reflection(rng)
         got = u_poincare(TAUT, r)
         assert got.distance_to(TAUT(r)) <= 1e-9
+
+
+G4 = np.diag([1.0, -1.0, -1.0, -1.0])
+
+
+def _eigh_translation_reflection(z, c):
+    """Reference: Minkowski-orthonormal tau, sigma of span{z, c} from the
+    eigenvectors of its 2x2 Gram matrix, and 1 - 2 (tau tau^T - sigma sigma^T) g."""
+    gram = np.array([[z @ G4 @ z, z @ G4 @ c], [c @ G4 @ z, c @ G4 @ c]])
+    w, q = np.linalg.eigh(gram)  # ascending: w[0] < 0 < w[1] for a timelike plane
+    sigma = (q[0, 0] * z + q[1, 0] * c) / np.sqrt(-w[0])
+    tau = (q[0, 1] * z + q[1, 1] * c) / np.sqrt(w[1])
+    return np.eye(4) - 2.0 * (np.outer(tau, tau) - np.outer(sigma, sigma)) @ G4
+
+
+def _timelike_vectors(rng, count):
+    """Seeded timelike z with |z| in [1e-3, 1e3] and (z.z)/|z|^2 in [1e-2, 1]."""
+    for _ in range(count):
+        size = 10.0 ** rng.uniform(-3.0, 3.0)
+        ratio = 10.0 ** rng.uniform(-2.0, 0.0)
+        t = size * np.sqrt(0.5 * (1.0 + ratio)) * rng.choice([-1.0, 1.0])
+        s = size * np.sqrt(0.5 * (1.0 - ratio))
+        yield np.concatenate([[t], s * random_unit3(rng)])
+
+
+def test_translation_reflection_closed_form():
+    rng = np.random.default_rng(53)
+    for z in _timelike_vectors(rng, 2000):
+        order = np.argsort(np.abs(z[1:]))
+        for rank in (0, 1):
+            c = np.zeros(4)
+            c[1 + order[rank]] = 1.0
+            # rank 0 is the default companion, rank 1 the cross-check's
+            companion = None if rank == 0 else c
+            r = translation_reflection(FourVector.from_array(z), companion=companion)
+            Reflection(r.element)
+            lam = r.element.lorentz.m
+            bound = 1e-12 * max(1.0, np.linalg.norm(lam))
+            assert np.linalg.norm(lam @ z + z) <= bound * np.linalg.norm(z)
+            assert np.linalg.norm(lam @ c + c) <= bound
+            # the Minkowski complement of span{z, c} is fixed pointwise
+            _, _, vh = np.linalg.svd(np.stack([G4 @ z, G4 @ c]))
+            for v in vh[2:]:
+                assert np.linalg.norm(lam @ v - v) <= bound
+            assert np.linalg.norm(lam - _eigh_translation_reflection(z, c)) <= bound
+
+
+def test_translation_reflection_rejects_spacelike():
+    for z in (FourVector(0.0, 1.0, 0.5, 0.0), FourVector(0.5, 0.0, 2.0, 1.0)):
+        with pytest.raises(DegenerateEdge):
+            translation_reflection(z)
 
 
 # -------------------------------------------------------------------- verifiers

@@ -23,6 +23,7 @@ from wedgegroup import (
     random_lorentz,
     random_poincare,
     random_reflection,
+    random_unit3,
     random_wedge,
     reflection_about_axis,
     reflection_conjugator,
@@ -32,6 +33,7 @@ from wedgegroup import (
     verify_ambiguity_classification,
     wedges_equal,
 )
+from wedgegroup.minkowski import frobenius
 
 Z_FLIP = reflection_about_axis([0, 0, 1])
 
@@ -259,3 +261,29 @@ def test_conjugation_equivariance():
         lhs = reflection_for_wedge(act(g, w))
         rhs = reflection_for_wedge(w).conjugated_by(g)
         assert lhs.distance_to(rhs) <= 1e-9
+
+
+def _same_reflection(a, b):
+    return np.array_equal(a.element.lorentz.m, b.element.lorentz.m) and np.array_equal(
+        a.element.translation.array, b.element.translation.array
+    )
+
+
+@pytest.mark.parametrize("max_rapidity", [1.0, 2.0, 6.0])
+def test_random_reflection_is_exactly_the_wedge_reflection(max_rapidity):
+    # the one-pass sampler makes the draws of random_wedge in the same order,
+    # so under one seed it reproduces both the reflection of random_wedge and
+    # that of the composed public path act -> standard_wedge bit for bit
+    seed = int(10 * max_rapidity)
+    direct, via_wedge, composed = (np.random.default_rng(seed) for _ in range(3))
+    for _ in range(2000):
+        r = random_reflection(direct, max_rapidity=max_rapidity)
+        w = random_wedge(via_wedge, max_rapidity=max_rapidity)
+        assert _same_reflection(r, reflection_for_wedge(w))
+        g = random_poincare(composed, max_rapidity)
+        w_ref = act(g, standard_wedge(random_unit3(composed)))
+        assert _same_reflection(r, reflection_for_wedge(w_ref))
+        # the default tolerance up to |lam| = 100; beyond that the round-off
+        # of lam^2 - 1 grows with |lam|^2, and so does the tolerance
+        scale = max(1.0, frobenius(r.element.lorentz.m) ** 2 / 1e4)
+        Reflection(r.element, tol=1e-9 * scale)
