@@ -111,11 +111,6 @@ class FourVector:
     def z(self):
         return float(self._v[3])
 
-    @property
-    def spatial(self):
-        """Copy of the spatial part (x, y, z)."""
-        return self._v[1:].copy()
-
     def inner(self, other):
         return minkowski_inner(self, other)
 
@@ -359,6 +354,26 @@ def canonical_sign(v, tol=1e-8):
         if abs(c) > tol:
             return v if c > 0 else -v
     return v
+
+
+def _cross(a, b):
+    """Cross product of two spatial 3-vectors, term for term as np.cross."""
+    a1, a2, a3 = a.tolist()
+    b1, b2, b3 = b.tolist()
+    return np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
+
+
+def _perpendicular_unit(v):
+    """``perpendicular_unit`` for a spatial vector v that is already unit."""
+    mags = np.abs(v)
+    # first coordinate within tolerance of the smallest, so that round-off
+    # dust in v cannot flip the tie-break between exact zeros
+    pick = int(np.argmax(mags < mags.min() + 1e-9))
+    axis = np.zeros(3)
+    axis[pick] = 1.0
+    w = axis - np.dot(axis, v) * v
+    w /= frobenius(w)
+    return canonical_sign(w)
 
 
 def _rotation_axis_angle(o, tol):

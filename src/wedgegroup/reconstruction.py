@@ -23,6 +23,7 @@ from .minkowski import (
     FourVector,
     LorentzElement,
     PoincareElement,
+    _cross,
     frobenius,
     make_boost,
     make_rotation,
@@ -30,7 +31,6 @@ from .minkowski import (
 )
 from .reflections import (
     Reflection,
-    _cross,
     _unit_spatial,
     perpendicular_unit,
     reflection_about_axis,

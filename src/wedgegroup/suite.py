@@ -18,6 +18,7 @@ from .modular import (
     verify_modular_relations,
 )
 from .reconstruction import (
+    _admissible_pair,
     builtin_map,
     random_conjugated_map,
     translation_reflection,
@@ -95,8 +96,7 @@ def check_e_independence(seed, samples, directions=10):
     worst = 0.0
     for k in range(samples):
         axis = random_unit3(rng)
-        e1 = _perp(axis)
-        e2 = np.cross(axis, e1)
+        e1, e2 = _admissible_pair(axis)
         angles = np.linspace(0.0, np.pi, directions, endpoint=False)
         if k % 2 == 0:
             element = make_rotation(axis, float(rng.uniform(0.1, np.pi - 0.1)))
@@ -113,13 +113,6 @@ def check_e_independence(seed, samples, directions=10):
                 for j in range(i + 1, len(values)):
                     worst = max(worst, values[i].distance_to(values[j]))
     return _report("e-independence", samples, worst, worst <= 1e-9)
-
-
-def _perp(axis):
-    probe = np.zeros(3)
-    probe[int(np.argmin(np.abs(axis)))] = 1.0
-    w = probe - np.dot(probe, axis) * axis
-    return w / np.linalg.norm(w)
 
 
 def check_homomorphism(seed, samples, restriction_samples):
@@ -218,8 +211,7 @@ def check_continuity(seed, steps=20):
     rng = np.random.default_rng(seed)
     jmap = builtin_map({"kind": "tautological"})
     axis = random_unit3(rng)
-    e1 = _perp(axis)
-    e2 = np.cross(axis, e1)
+    e1, e2 = _admissible_pair(axis)
     ident = jmap.identity()
     distances = []
     for k in range(1, steps + 1):

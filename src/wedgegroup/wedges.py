@@ -15,13 +15,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateEdge, ZeroAxis
+from .errors import DegenerateEdge, PreconditionViolated, ZeroAxis
 from .minkowski import (
     METRIC,
     FourVector,
     LorentzElement,
     PoincareElement,
+    _cross,
     _norm,
+    _perpendicular_unit,
+    frobenius,
     classify_vector,
     CausalClass,
     minkowski_inner,
@@ -39,41 +42,9 @@ __all__ = [
     "edge",
     "wedges_equal",
     "strictly_inside",
-    "strictly_outside_approx",
     "interpolating_wedges",
     "mapping_between",
 ]
-
-
-def _minkowski_orthonormal_pair(v1, v2, signs):
-    """Diagonalize the Minkowski Gram matrix of two independent vectors.
-
-    Returns unit vectors spanning the same plane whose squared norms have
-    the requested signs, ordered to match ``signs``.
-    """
-    gram = np.array(
-        [
-            [v1 @ METRIC @ v1, v1 @ METRIC @ v2],
-            [v2 @ METRIC @ v1, v2 @ METRIC @ v2],
-        ]
-    )
-    w, q = np.linalg.eigh(gram)  # ascending eigenvalues
-    vecs, norms = [], []
-    for i in range(2):
-        u = q[0, i] * v1 + q[1, i] * v2
-        vecs.append(u)
-        norms.append(w[i])
-    out = []
-    for wanted in signs:
-        idx = int(np.argmax(norms)) if wanted > 0 else int(np.argmin(norms))
-        nn = norms[idx]
-        if wanted > 0 and nn <= 0:
-            raise DegenerateEdge("expected a timelike direction in the plane")
-        if wanted < 0 and nn >= 0:
-            raise DegenerateEdge("expected a spacelike direction in the plane")
-        out.append(vecs[idx] / np.sqrt(abs(nn)))
-        norms[idx] = 0.0 if wanted > 0 else np.inf  # do not pick it twice
-    return out
 
 
 @dataclass(frozen=True)
@@ -218,21 +189,46 @@ def causal_complement(w):
 
 
 def edge(w, tol=None):
-    """Edge plane of a wedge: the set where both defining forms vanish."""
-    tol = resolve_tol(tol)
-    rows = np.stack([METRIC @ w.l1.array, METRIC @ w.l2.array])
-    _, _, vh = np.linalg.svd(rows)
-    basis = vh[2:]  # Minkowski-orthogonal complement of span{l1, l2}
-    u1, u2 = _minkowski_orthonormal_pair(basis[0], basis[1], signs=(-1, -1))
-    parr = w.p.array
-    q = parr.copy()
-    q = q + minkowski_inner_arr(parr, u1) * u1
-    q = q + minkowski_inner_arr(parr, u2) * u2
-    return EdgePlane(
-        FourVector.from_array(q),
-        FourVector.from_array(u1),
-        FourVector.from_array(u2),
-    )
+    """Edge plane of a wedge: the set where both defining forms vanish.
+    ``tol`` is only checked to be a valid tolerance; nothing here reads it."""
+    resolve_tol(tol)
+    return _edge_plane(*_wedge_frame(w))
+
+
+def _edge_plane(f, point):
+    """EdgePlane through the point array, spanned by the last two columns of
+    a frame from ``_frame``."""
+    return EdgePlane(*(FourVector.from_array(a) for a in (point, f[:, 2], f[:, 3])))
+
+
+def _frame(l1, l2):
+    """Proper orthochronous frame [tau, sigma, u1, u2] of the wedge with
+    normal arrays l1, l2 (time component 1); u1, u2 span its edge directions.
+
+    With d = n1 - n2 and m = (n1 + n2)/2 from the spatial parts (m.d = 0 and
+    |m|^2 + |d|^2/4 = 1): tau = (l1 + l2)/|d|, sigma = (0, d)/|d|,
+    u1 = (0, w) with w = unit(d^ x m), or any unit w perpendicular to d when
+    m = 0, and u2 = (m.s, s) 2/|d| with s = d^ x w.  As m is parallel to s
+    and (d^, w, s) is right-handed, the frame is Minkowski-orthonormal with
+    determinant +1.  For the standard x-wedge it is the identity.
+    """
+    n1, n2 = l1[1:], l2[1:]
+    d = n1 - n2
+    m = 0.5 * (n1 + n2)
+    dn = _norm(d)
+    dhat = d / dn
+    c = _cross(dhat, m)
+    cn = _norm(c)
+    # below round-off size m is zero, and every w perpendicular to d works
+    w = c / cn if cn > 1e-15 else _perpendicular_unit(dhat)
+    s = _cross(dhat, w)
+    f = np.zeros((4, 4))
+    f[:, 0] = (l1 + l2) / dn
+    f[1:, 1] = dhat
+    f[1:, 2] = w
+    f[0, 3] = 2.0 * float(m @ s) / dn
+    f[1:, 3] = (2.0 / dn) * s
+    return f
 
 
 def _normal_projector(l1, l2):
@@ -245,6 +241,32 @@ def _normal_projector(l1, l2):
     the directions of the edge plane.
     """
     return (np.outer(l1, METRIC @ l2) + np.outer(l2, METRIC @ l1)) / minkowski_inner_arr(l1, l2)
+
+
+def _null_pair(q):
+    """Normal arrays (time component 1) of the timelike plane onto which q is
+    the Minkowski projector, the inverse of ``_normal_projector``: q e_t / q00
+    is (l1 + l2)/2, and the rank-one remainder q - (q e_t)(q e_t)^T g / q00
+    is sigma sigma^T with sigma = (l1 - l2) sqrt(q00)/2.  PreconditionViolated
+    unless q is such a projector, to a fixed relative 1e-6.
+    """
+    q00 = q[0, 0]
+    if not q00 > 0.0:
+        raise PreconditionViolated("not a projector onto a timelike plane")
+    col = q[:, 0]
+    rest = q - np.outer(col, METRIC @ col) / q00
+    k = int(np.argmax(np.diagonal(rest)))
+    if not rest[k, k] > 0.0:
+        raise PreconditionViolated("not a projector onto a timelike plane")
+    half = np.zeros(4)
+    half[1:] = rest[1:, k] / np.sqrt(rest[k, k] * q00)
+    l1, l2 = col / q00 + half, col / q00 - half
+    if not (
+        max(abs(minkowski_inner_arr(l1, l1)), abs(minkowski_inner_arr(l2, l2))) <= 1e-6
+        and frobenius(_normal_projector(l1, l2), q) <= 1e-6 * max(1.0, frobenius(q))
+    ):
+        raise PreconditionViolated("not a projector onto a timelike plane")
+    return l1, l2
 
 
 def wedges_equal(w1, w2, tol=1e-9):
@@ -305,15 +327,16 @@ def strictly_inside(c, w, neighborhood=1e-6):
     and l2.(x - p) >= 2 nu (1 + |x - p|).
 
     Both normals are future lightlike, so over the closed cone l1.x is largest
-    at the future apex and l2.x smallest at the past apex; and
-    reach = 1 + |centre - p| + rho (d^0 + |d_vec|), with d the unit timelike
-    axis and rho the half-length of the cone, bounds 1 + |x - p|.  So with
+    at the future apex and l2.x smallest at the past apex.  The cone is the
+    convex hull of its apexes and its equator, all within |future - past|/2
+    of the centre in the Euclidean norm, so by the triangle inequality
+    reach = 1 + |centre - p| + |future - past|/2 bounds 1 + |x - p|.  With
     m = 2 nu reach the test is l1.(future - p) <= -m and l2.(past - p) >= m.
     """
     parr = w.p.array
     past, future = c.apex_past.array, c.apex_future.array
-    half = 0.5 * (future - past)  # rho * d
-    reach = 1.0 + _norm(past + half - parr) + half[0] + _norm(half[1:])
+    half = 0.5 * (future - past)
+    reach = 1.0 + _norm(past + half - parr) + _norm(half)
     m = 2.0 * neighborhood * reach
     return bool(
         minkowski_inner_arr(w.l1.array, future - parr) <= -m
@@ -321,39 +344,11 @@ def strictly_inside(c, w, neighborhood=1e-6):
     )
 
 
-def strictly_outside_approx(c, w, neighborhood=1e-6):
-    """Same stability predicate, stated from the wedge's side: every wedge in
-    a metric ball around w contains c.  Coincides with ``strictly_inside``."""
-    return strictly_inside(c, w, neighborhood)
-
-
-def _frame_from_plane(point_arr, u1_arr, u2_arr):
-    """Proper orthochronous frame whose last two columns span the given
-    spacelike plane; columns are (timelike, spacelike, u1, u2)."""
-    rows = np.stack([METRIC @ u1_arr, METRIC @ u2_arr])
-    _, _, vh = np.linalg.svd(rows)
-    w1, w2 = vh[2:]
-    tau, sigma = _minkowski_orthonormal_pair(w1, w2, signs=(1, -1))
-    if tau[0] < 0:
-        tau = -tau
-    f = np.column_stack([tau, sigma, u1_arr, u2_arr])
-    if np.linalg.det(f) < 0:
-        f = np.column_stack([tau, -sigma, u1_arr, u2_arr])
-    return f
-
-
 def _wedge_frame(w):
-    """Frame adapted to a wedge: timelike and spacelike legs from the normals,
-    edge basis in the last two columns."""
+    """``_frame`` of a wedge, and the point of its edge Minkowski-orthogonal
+    to the edge directions."""
     l1, l2 = w.l1.array, w.l2.array
-    dot = minkowski_inner_arr(l1, l2)
-    tau = (l1 + l2) / np.sqrt(2.0 * dot)
-    sigma = (l1 - l2) / np.sqrt(2.0 * dot)
-    pl = edge(w)
-    f = np.column_stack([tau, sigma, pl.u1.array, pl.u2.array])
-    if np.linalg.det(f) < 0:
-        f = np.column_stack([tau, sigma, pl.u1.array, -pl.u2.array])
-    return f, pl.point.array
+    return _frame(l1, l2), _normal_projector(l1, l2) @ w.p.array
 
 
 def mapping_between(w1, w2, tol=None):

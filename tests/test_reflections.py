@@ -106,6 +106,43 @@ def test_validation_messages():
         Reflection(PoincareElement(LorentzElement(-np.eye(4))))
     with pytest.raises(PreconditionViolated, match="square"):
         Reflection(PoincareElement(make_boost([1, 0, 0], 1.0)))
+    # time-reversing involutions with determinant -1
+    for diag in ([-1.0, 1.0, 1.0, 1.0], [-1.0, -1.0, -1.0, 1.0]):
+        with pytest.raises(PreconditionViolated, match="two-dimensional"):
+            Reflection(PoincareElement(LorentzElement(np.diag(diag))))
+
+
+@pytest.mark.parametrize(
+    "element",
+    [
+        PoincareElement.identity(),
+        PoincareElement(make_boost([1, 0, 0], 1.0)),
+        PoincareElement(make_rotation([0, 0, 1], np.pi)),
+        PoincareElement(LorentzElement(-np.eye(4))),
+        PoincareElement(LorentzElement(np.diag([-1.0, 1.0, 1.0, 1.0]))),
+        PoincareElement(LorentzElement(np.diag([-1.0, -1.0, -1.0, 1.0]))),
+        # 1 - 2P for the span of the timelike (1, 0.5, 0, 0), (1, -0.5, 0, 0),
+        # with P built by the null-normal formula, which then is no projector
+        PoincareElement(LorentzElement(np.diag([-2.2, 0.2, 1.0, 1.0]), validate=False)),
+    ],
+)
+def test_unvalidated_non_reflection_has_no_fixed_plane(element):
+    r = Reflection(element, validate=False)
+    with pytest.raises(PreconditionViolated):
+        r.fixed_plane
+    with pytest.raises(PreconditionViolated):
+        reflection_conjugator(r)
+
+
+def test_high_rapidity_reflections_validate():
+    # the involution bounds grow with |lam|^2 and |lam| |a|, as the round-off
+    # does; a boost of rapidity 0.1 after each sample still fails them
+    rng = np.random.default_rng(60)
+    for _ in range(2000):
+        r = random_reflection(rng, max_rapidity=6.0)
+        Reflection(r.element)
+        bent = r.element.lorentz @ make_boost(random_unit3(rng), 0.1)
+        assert not is_reflection(PoincareElement(bent, r.element.translation))
 
 
 def test_perpendicular_unit():
@@ -228,11 +265,19 @@ def test_verify_ambiguity_report():
     assert report["samples"] == 0
     assert report["pass"] is True
 
-    report = verify_ambiguity_classification(make_boost([0, 0, 1], 1.0), 100, seed=1)
-    assert report["check"] == "ambiguity-classification"
-    assert report["samples"] == 100
-    assert report["max_residual"] <= 1e-8
-    assert report["pass"] is True
+    # a boost, and rotations (the rotation branch of the block frame), one
+    # of them conjugated by a boost
+    g = make_boost([0.3, -1.0, 0.2], 1.7)
+    for lam in (
+        make_boost([0, 0, 1], 1.0),
+        make_rotation([1, 2, 3], 2.5),
+        g @ make_rotation([1, 0, 0], 0.7) @ g.inverse(),
+    ):
+        report = verify_ambiguity_classification(lam, 100, seed=1)
+        assert report["check"] == "ambiguity-classification"
+        assert report["samples"] == 100
+        assert report["max_residual"] <= 1e-8
+        assert report["pass"] is True
 
 
 def test_verify_ambiguity_rejects_involutions():
@@ -243,7 +288,8 @@ def test_verify_ambiguity_rejects_involutions():
 
 
 def test_reflection_conjugator_solves_every_reflection():
-    rng = np.random.default_rng(43)
+    # the same seed draws r and the wedge it is the reflection of
+    rng, wedge_rng = np.random.default_rng(43), np.random.default_rng(43)
     base = reflection_about_axis([1, 0, 0])
     for _ in range(100):
         r = random_reflection(rng)
@@ -251,6 +297,8 @@ def test_reflection_conjugator_solves_every_reflection():
         g.lorentz.require_proper_orthochronous()
         moved = g @ base.element @ g.inverse()
         assert moved.distance_to(r.element) <= 1e-9
+        w, image = random_wedge(wedge_rng), act(g, standard_wedge([1, 0, 0]))
+        assert wedges_equal(image, w) or wedges_equal(image, causal_complement(w))
 
 
 def test_conjugation_equivariance():
