@@ -140,7 +140,6 @@ class FourVector:
 
 
 ZERO_VECTOR = FourVector(0.0, 0.0, 0.0, 0.0)
-TIME_AXIS = FourVector(1.0, 0.0, 0.0, 0.0)
 
 
 def minkowski_inner(a, b):

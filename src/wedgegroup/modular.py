@@ -145,7 +145,13 @@ def commutant(algebra: MatrixAlgebra) -> MatrixAlgebra:
         done += len(b)
         comm = b[:, None] @ kernel[None] - kernel[None] @ b[:, None]
         system = comm.transpose(0, 2, 3, 1).reshape(-1, len(kernel))
-        _, s, vh = np.linalg.svd(system, full_matrices=False)
+        try:
+            _, s, vh = np.linalg.svd(system, full_matrices=False)
+        except np.linalg.LinAlgError:
+            # LAPACK can fail to converge on a matrix and not on its adjoint,
+            # whose left singular vectors are the right ones of the matrix
+            u, s, _ = np.linalg.svd(system.conj().T, full_matrices=False)
+            vh = u.conj().T
         kernel = np.tensordot(vh[s <= 1e-9 * max(1.0, s[0])].conj(), kernel, axes=1)
     out = MatrixAlgebra(kernel)
     out._basis = kernel

@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _CROSS_TOL = 1e-6
+_Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 class TargetElement:
@@ -264,22 +265,42 @@ def _admissible_pair(axis):
     return e1, e2
 
 
-def _v_from_factor(J, lam: LorentzElement, e, tol) -> TargetElement:
-    flip = reflection_about_axis(e, tol)
+def _v_from_factor(J, lam: LorentzElement, e) -> TargetElement:
+    flip = reflection_about_axis(e)
     first = Reflection(PoincareElement(lam @ flip.element.lorentz), validate=False)
     return J(first) @ J(flip)
 
 
-def _v_with_crosscheck(J, lam, e_main, e_alt, what, tol):
-    value = _v_from_factor(J, lam, e_main, tol)
-    alt = _v_from_factor(J, lam, e_alt, tol)
+def _crosschecked(value: TargetElement, alt: TargetElement, what) -> TargetElement:
+    """value, once a second admissible construction agrees with it;
+    AxiomViolation naming what disagreed otherwise."""
     scale = max(1.0, float(np.linalg.norm(value.matrix)))
     if value.distance_to(alt) > _CROSS_TOL * scale:
         raise AxiomViolation(
-            f"{what} value depends on the admissible direction; "
-            "the supplied map does not satisfy the reflection-map axioms"
+            f"{what}; the supplied map does not satisfy the reflection-map axioms"
         )
     return value
+
+
+def _v_of_factor(J, factor: LorentzElement, axis, direction, what) -> TargetElement:
+    """J(F flip(e)) . J(flip(e)) for the rotation or boost factor F of a
+    polar split, whose axis (None when F is trivial) e must be orthogonal to.
+
+    An explicit direction is checked and used as is; otherwise e runs over a
+    deterministic admissible pair and the two values are cross-checked.
+    """
+    if direction is not None:
+        e = _unit_spatial(direction)
+        if axis is not None and abs(float(np.dot(e, axis))) > 1e-8:
+            name = "rotation axis" if what == "rotation" else "boost direction"
+            raise NotAdmissible(f"direction is not orthogonal to the {name}")
+        return _v_from_factor(J, factor, e)
+    e1, e2 = _admissible_pair(axis if axis is not None else _Z_AXIS)
+    return _crosschecked(
+        _v_from_factor(J, factor, e1),
+        _v_from_factor(J, factor, e2),
+        f"{what} value depends on the admissible direction",
+    )
 
 
 def v_of_rotation(J: ReflectionMap, rot: LorentzElement, direction=None, tol=None) -> TargetElement:
@@ -292,18 +313,9 @@ def v_of_rotation(J: ReflectionMap, rot: LorentzElement, direction=None, tol=Non
     """
     tol = resolve_tol(tol)
     pd = polar_decompose(rot, tol)
-    # semantic gate only: factors extracted from large products carry
-    # harmless boost dust well below this and are cleaned by the re-split
     if pd.rapidity > 1e-6:
         raise PreconditionViolated("input has a nontrivial boost part")
-    if direction is not None:
-        e = _unit_spatial(direction)
-        if pd.axis is not None and abs(float(np.dot(e, pd.axis))) > 1e-8:
-            raise NotAdmissible("direction is not orthogonal to the rotation axis")
-        return _v_from_factor(J, pd.rotation, e, tol)
-    axis = pd.axis if pd.axis is not None else np.array([0.0, 0.0, 1.0])
-    e1, e2 = _admissible_pair(axis)
-    return _v_with_crosscheck(J, pd.rotation, e1, e2, "rotation", tol)
+    return _v_of_factor(J, pd.rotation, pd.axis, direction, "rotation")
 
 
 def v_of_boost(J: ReflectionMap, boost: LorentzElement, direction=None, tol=None) -> TargetElement:
@@ -313,23 +325,17 @@ def v_of_boost(J: ReflectionMap, boost: LorentzElement, direction=None, tol=None
     pd = polar_decompose(boost, tol)
     if pd.angle > 1e-6:
         raise PreconditionViolated("input has a nontrivial rotation part")
-    if direction is not None:
-        e = _unit_spatial(direction)
-        if pd.boost_dir is not None and abs(float(np.dot(e, pd.boost_dir))) > 1e-8:
-            raise NotAdmissible("direction is not orthogonal to the boost direction")
-        return _v_from_factor(J, pd.boost, e, tol)
-    axis = pd.boost_dir if pd.boost_dir is not None else np.array([0.0, 0.0, 1.0])
-    e1, e2 = _admissible_pair(axis)
-    return _v_with_crosscheck(J, pd.boost, e1, e2, "boost", tol)
+    return _v_of_factor(J, pd.boost, pd.boost_dir, direction, "boost")
 
 
 def v_of_lorentz(J: ReflectionMap, lam: LorentzElement, tol=None) -> TargetElement:
     """Extend J to a proper orthochronous element through its polar factors:
-    V(lam) = V(R) . V(B)."""
+    V(lam) = V(R) . V(B), from the one split of lam."""
     tol = resolve_tol(tol)
     lam.require_proper_orthochronous(tol)
     pd = polar_decompose(lam, tol)
-    return v_of_rotation(J, pd.rotation, tol=tol) @ v_of_boost(J, pd.boost, tol=tol)
+    rotation = _v_of_factor(J, pd.rotation, pd.axis, None, "rotation")
+    return rotation @ _v_of_factor(J, pd.boost, pd.boost_dir, None, "boost")
 
 
 def v_of_proper(J: ReflectionMap, g, reference: Reflection | None = None, tol=None) -> TargetElement:
@@ -426,13 +432,7 @@ def u_translation(J: ReflectionMap, z: FourVector, tol=None) -> TargetElement:
         value = u_translation_fixed_reflection(J, translation_reflection(z), z, tol=tol)
         alt_refl = translation_reflection(z, companion=_second_companion(arr))
         alt = u_translation_fixed_reflection(J, alt_refl, z, tol=tol)
-        scale = max(1.0, float(np.linalg.norm(value.matrix)))
-        if value.distance_to(alt) > _CROSS_TOL * scale:
-            raise AxiomViolation(
-                "translation value depends on the negating reflection; "
-                "the supplied map does not satisfy the reflection-map axioms"
-            )
-        return value
+        return _crosschecked(value, alt, "translation value depends on the negating reflection")
     t = norm + 1.0
     x = FourVector.from_array(0.5 * arr + np.array([t, 0.0, 0.0, 0.0]))
     minus_y = FourVector.from_array(0.5 * arr - np.array([t, 0.0, 0.0, 0.0]))
@@ -459,12 +459,7 @@ def verify_homomorphism(J: ReflectionMap, samples: int, seed, tol=None, threshol
     axiom pre-check short-circuits maps that are not reflection maps
     (reported as a failing run with zero homomorphism samples).
     """
-    from .sampling import (
-        random_lorentz,
-        random_poincare,
-        random_proper,
-        random_unit3,
-    )
+    from .sampling import random_poincare, random_proper, random_unit3
 
     tol = resolve_tol(tol)
     rng = np.random.default_rng(seed)
@@ -539,11 +534,11 @@ def verify_continuity_probe(J: ReflectionMap, path, steps: int, tol=None):
     base = points[0]
     induced = []
     for r in points:
-        relative = (r.element @ base.element).lorentz
-        pd = polar_decompose(relative, tol)
-        induced.append(
-            (v_of_rotation(J, pd.rotation, tol=tol), v_of_boost(J, pd.boost, tol=tol))
-        )
+        pd = polar_decompose((r.element @ base.element).lorentz, tol)
+        induced.append((
+            _v_of_factor(J, pd.rotation, pd.axis, None, "rotation"),
+            _v_of_factor(J, pd.boost, pd.boost_dir, None, "boost"),
+        ))
     for (ra, ba), (rb, bb) in zip(induced, induced[1:]):
         worst = max(worst, ra.distance_to(rb), ba.distance_to(bb))
     return {

@@ -81,11 +81,15 @@ class Reflection:
         lam = self._g.lorentz.m
         a = self._g.translation.array
         # g * g = (lam lam, a + lam a), the identity test of
-        # PoincareElement.is_identity written out; the round-off of lam lam
-        # and lam a grows with |lam|^2 and |lam| |a|, so the bounds do too
+        # PoincareElement.is_identity written out.  The round-off of lam lam
+        # is about eps |lam|^2, 3e-11 |lam| at rapidity 6, so a bound of
+        # 100 tol |lam| holds it up to rapidity 10 at the default tol; one
+        # growing with |lam|^2 also accepted lam times a boost of rapidity
+        # 1e-4 at rapidity 6.  The round-off of lam a grows with |lam| |a|,
+        # and so does its bound.
         lam_size = frobenius(lam)
         if not (
-            frobenius(lam @ lam, _I4) <= 100 * tol * max(1.0, lam_size * lam_size)
+            frobenius(lam @ lam, _I4) <= 100 * tol * max(1.0, lam_size)
             and frobenius(a + lam @ a) <= 100 * tol * max(1.0, lam_size * frobenius(a))
         ):
             raise PreconditionViolated("element does not square to the identity")
@@ -133,30 +137,26 @@ class Reflection:
         return f"Reflection({self._g!r})"
 
 
-def reflection_about_axis(direction, tol=None) -> Reflection:
+def reflection_about_axis(direction) -> Reflection:
     """Linear reflection that flips time and the given spatial direction.
 
     Fixes the spatial plane orthogonal to the direction; for the z axis the
-    matrix is diag(-1, 1, 1, -1).  ``tol`` is only checked to be a valid
-    tolerance; the matrix is exact and no test reads it.
+    matrix is diag(-1, 1, 1, -1).
     """
-    resolve_tol(tol)
     e = _unit_spatial(direction)
     m = _TIME_FLIP.copy()
     m[1:, 1:] -= 2.0 * np.outer(e, e)
     return Reflection(PoincareElement(LorentzElement._product(m)), validate=False)
 
 
-def reflection_for_wedge(w: Wedge, tol=None) -> Reflection:
+def reflection_for_wedge(w: Wedge) -> Reflection:
     """The unique reflection whose fixed plane is the edge of the wedge.
 
     With P the Minkowski projector onto span{l1, l2} of the normals,
     P x = [(l2.x) l1 + (l1.x) l2] / (l1.l2), the reflection is
     x -> (1 - 2P) x + 2P p: it negates span{l1, l2} and fixes the edge
-    through p pointwise.  ``tol`` is only checked to be a valid tolerance;
-    the construction is closed-form and no test reads it.
+    through p pointwise.
     """
-    resolve_tol(tol)
     return _reflection_from_normals(w.l1.array, w.l2.array, w.p.array)
 
 
@@ -244,9 +244,9 @@ def factor_into_reflections(lam: LorentzElement, direction=None, tol=None):
     else:
         e = _unit_spatial(direction)
         _check_admissible(e, pd, tol)
-    flip = reflection_about_axis(e, tol).element
-    r1 = Reflection(PoincareElement(pd.rotation) @ flip, tol=tol, validate=False)
-    r2 = Reflection(flip @ PoincareElement(pd.boost), tol=tol, validate=False)
+    flip = reflection_about_axis(e).element
+    r1 = Reflection(PoincareElement(pd.rotation) @ flip, validate=False)
+    r2 = Reflection(flip @ PoincareElement(pd.boost), validate=False)
     return r1, r2
 
 
@@ -298,7 +298,7 @@ def ambiguity_conjugate(commuting, pair, tol=None):
     )
 
 
-def _l0_frame(lam: LorentzElement, tol):
+def _l0_frame(lam: LorentzElement):
     """Orthonormal frame F with F^-1 lam F block-diagonal: a boost in the
     (t, z) block and a rotation in the (x, y) block."""
     m = lam.m
@@ -375,7 +375,7 @@ def verify_ambiguity_classification(lam: LorentzElement, trials: int, seed, tol=
             f"classification is {kind.value}; ambiguity analysis needs the rotation-boost class"
         )
     r1, r2 = factor_into_reflections(lam, tol=tol)
-    f = _l0_frame(lam, tol)
+    f = _l0_frame(lam)
     f_inv = METRIC @ f.T @ METRIC
     rng = np.random.default_rng(seed)
     results = []
@@ -415,13 +415,11 @@ def verify_ambiguity_classification(lam: LorentzElement, trials: int, seed, tol=
     }
 
 
-def reflection_conjugator(r: Reflection, tol=None) -> PoincareElement:
+def reflection_conjugator(r: Reflection) -> PoincareElement:
     """Poincare element carrying the reflection about the x axis to r: the
     frame map from the standard x-wedge to the wedge of r.  Because a
     reflection is determined by its fixed plane, conjugating the reference
-    reflection by the result reproduces r exactly up to roundoff.  ``tol``
-    is only checked to be a valid tolerance.
+    reflection by the result reproduces r exactly up to roundoff.
     """
-    resolve_tol(tol)
     f, point = r._negated_frame()
     return PoincareElement(LorentzElement._product(f), FourVector.from_array(point))

@@ -188,10 +188,8 @@ def causal_complement(w):
     return Wedge(w.l2, w.l1, w.p)
 
 
-def edge(w, tol=None):
-    """Edge plane of a wedge: the set where both defining forms vanish.
-    ``tol`` is only checked to be a valid tolerance; nothing here reads it."""
-    resolve_tol(tol)
+def edge(w):
+    """Edge plane of a wedge: the set where both defining forms vanish."""
     return _edge_plane(*_wedge_frame(w))
 
 

@@ -20,6 +20,7 @@ from wedgegroup import (
     span_residual,
     verify_modular_relations,
 )
+from wedgegroup.suite import check_modular
 
 
 def _swap_matrix(n):
@@ -260,6 +261,36 @@ def test_commutant_matches_stacked_kernel():
         com = commutant(algebra)
         assert com.dim_span() == len(null)
         assert span_residual(com.basis(), null) <= 1e-9
+
+
+def test_commutant_reads_the_kernel_from_the_adjoint_when_svd_fails(monkeypatch):
+    # every batch SVD fails once, as LAPACK's can; the kernel read from the
+    # SVD of the adjoint spans the same commutant
+    rng = np.random.default_rng(13)
+    algebras = [random_algebra_with_vector(rng, max_dim=6)[0] for _ in range(4)]
+    expected = [commutant(algebra).basis() for algebra in algebras]
+    calls = []
+    svd = np.linalg.svd
+
+    def flaky_svd(*args, **kwargs):
+        calls.append(1)
+        if len(calls) % 2:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", flaky_svd)
+        found = [commutant(algebra).basis() for algebra in algebras]
+    assert calls and len(calls) % 2 == 0
+    for basis, reference in zip(found, expected):
+        assert len(basis) == len(reference)
+        assert span_residual(basis, reference) <= 1e-9
+
+
+def test_suite_modular_check_where_lapack_svd_did_not_converge():
+    # the modular check of the quick suite at seed 2099752689 builds a
+    # 36 x 36 commutant system on which numpy's LAPACK SVD raised
+    assert check_modular(2099752689 + 8, 10)["pass"] is True
 
 
 @pytest.mark.parametrize(

@@ -237,6 +237,38 @@ def test_v_equals_any_factorization_pair():
             assert alt.distance_to(v) <= 1e-8
 
 
+def _count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def test_v_of_lorentz_splits_each_element_once(monkeypatch):
+    # the rotation and boost values come from the factors of the one split
+    rng = np.random.default_rng(29)
+    elements = [random_lorentz(rng, max_rapidity=2.0) for _ in range(8)]
+    calls = _count_svds(monkeypatch)
+    for lam in elements:
+        v_of_lorentz(TAUT, lam)
+    assert len(calls) == len(elements)
+
+
+def test_continuity_probe_splits_each_point_once(monkeypatch):
+    lam = reflection_about_axis([0, 1, 0])
+    moves = [make_rotation([0, 0, 1], 0.1 * k) @ make_boost([1, 0, 0], 0.1 * k) for k in range(5)]
+    family = [lam.conjugated_by(PoincareElement(g)) for g in moves]
+    calls = _count_svds(monkeypatch)
+    report = verify_continuity_probe(TAUT, family, steps=len(family) - 1)
+    assert report["pass"] is True
+    assert len(calls) == len(family)
+
+
 def test_v_of_proper_reference_and_restriction():
     lam0 = reference_reflection()
     val = v_of_proper(TAUT, lam0)

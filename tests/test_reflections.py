@@ -145,6 +145,17 @@ def test_high_rapidity_reflections_validate():
         assert not is_reflection(PoincareElement(bent, r.element.translation))
 
 
+def test_near_involutions_at_high_rapidity_are_rejected():
+    # a boost of rapidity 1e-4 moves lam lam by about 1e-4 |lam|; a bound
+    # growing with |lam|^2 accepted about a third of these at |lam| near 1e5
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        r = random_reflection(rng, max_rapidity=6.0)
+        assert is_reflection(r.element)
+        bent = r.element.lorentz @ make_boost(random_unit3(rng), 1e-4)
+        assert not is_reflection(PoincareElement(bent, r.element.translation))
+
+
 def test_perpendicular_unit():
     rng = np.random.default_rng(37)
     for _ in range(100):
