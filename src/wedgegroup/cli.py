@@ -124,7 +124,7 @@ def cmd_reconstruct(spec, samples=200, seed=42, tol=None) -> CommandResult:
     diagnostics = ()
     if samples == 0:
         diagnostics += ("warning: samples = 0, both checks are vacuous",)
-    axioms = verify_axioms(jmap, samples, seed, tol=tol)
+    axioms = verify_axioms(jmap, samples, seed)
     try:
         homomorphism = verify_homomorphism(jmap, samples, seed, tol=tol)
     except WedgeGroupError as exc:

@@ -209,7 +209,8 @@ class LorentzElement:
     @classmethod
     def _product(cls, m):
         """Wrap a freshly computed product of Lorentz matrices: it is 4x4
-        and owned by the caller, so only finiteness is checked."""
+        and owned by the caller, so only finiteness is checked; the metric
+        check of its factors stands for its own."""
         if not np.isfinite(m).all():
             raise ValueError("Lorentz matrix must have finite entries")
         m.setflags(write=False)
@@ -245,7 +246,10 @@ class LorentzElement:
 
     def require_proper_orthochronous(self, tol=None):
         tol = resolve_tol(tol)
-        if abs(self.det - 1.0) > 1e3 * tol:
+        # det = +-1 once the metric check has passed (for a ``_product`` or
+        # validate=False element, its factors'), and its round-off grows like
+        # e^(2 chi) with the rapidity chi, so the sign decides
+        if not self.is_proper:
             raise NotProper(f"determinant {self.det:.6f} != +1")
         if self._m[0, 0] < 1.0 - 10.0 * tol:
             raise NotOrthochronous(f"m00 = {self._m[0, 0]:.6f} < 1")
@@ -387,7 +391,8 @@ def _rotation_axis_angle(o, tol):
     angle = float(np.arctan2(s, c))
     if angle <= tol:
         return 0.0, None
-    if s >= _PI_BRANCH_SIN:
+    if s >= _PI_BRANCH_SIN or c > 0.0:
+        # small angles too: the symmetric part below divides by 1 - c = 0
         return angle, w / s
     # Near pi: (o + o^T)/2 = c I + (1 - c) r r^T.
     rrt = (0.5 * (o + o.T) - c * np.eye(3)) / (1.0 - c)

@@ -23,16 +23,15 @@ from .minkowski import (
     FourVector,
     LorentzElement,
     PoincareElement,
-    _cross,
-    frobenius,
     make_boost,
     make_rotation,
     polar_decompose,
 )
 from .reflections import (
     Reflection,
-    _unit_spatial,
-    perpendicular_unit,
+    _admissible,
+    _direction,
+    _factor,
     reflection_about_axis,
     reflection_conjugator,
 )
@@ -58,7 +57,6 @@ __all__ = [
 ]
 
 _CROSS_TOL = 1e-6
-_Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 class TargetElement:
@@ -227,7 +225,7 @@ def reference_reflection() -> Reflection:
     return reflection_about_axis([1.0, 0.0, 0.0])
 
 
-def verify_axioms(J: ReflectionMap, samples: int, seed, tol=None, threshold=1e-7):
+def verify_axioms(J: ReflectionMap, samples: int, seed, threshold=1e-7):
     """Check the two defining relations of a reflection map on random data.
 
     Per sample: J(r)^2 = 1 and J(r1) J(r2) J(r1) = J(r1 r2 r1) for random
@@ -235,7 +233,6 @@ def verify_axioms(J: ReflectionMap, samples: int, seed, tol=None, threshold=1e-7
     """
     from .sampling import random_reflection
 
-    resolve_tol(tol)
     rng = np.random.default_rng(seed)
     ident = J.identity()
     worst = 0.0
@@ -259,18 +256,6 @@ def verify_axioms(J: ReflectionMap, samples: int, seed, tol=None, threshold=1e-7
     }
 
 
-def _admissible_pair(axis):
-    e1 = perpendicular_unit(axis)
-    e2 = _cross(axis / frobenius(axis), e1)
-    return e1, e2
-
-
-def _v_from_factor(J, lam: LorentzElement, e) -> TargetElement:
-    flip = reflection_about_axis(e)
-    first = Reflection(PoincareElement(lam @ flip.element.lorentz), validate=False)
-    return J(first) @ J(flip)
-
-
 def _crosschecked(value: TargetElement, alt: TargetElement, what) -> TargetElement:
     """value, once a second admissible construction agrees with it;
     AxiomViolation naming what disagreed otherwise."""
@@ -282,25 +267,35 @@ def _crosschecked(value: TargetElement, alt: TargetElement, what) -> TargetEleme
     return value
 
 
-def _v_of_factor(J, factor: LorentzElement, axis, direction, what) -> TargetElement:
-    """J(F flip(e)) . J(flip(e)) for the rotation or boost factor F of a
-    polar split, whose axis (None when F is trivial) e must be orthogonal to.
+def _v_of_split(J, lam: LorentzElement, direction, tol) -> TargetElement:
+    """V(lam) = J(r1) . J(r2) for the pair r1 = R flip(e), r2 = flip(e) B of
+    factor_into_reflections, from the polar split lam = R B.
 
-    An explicit direction is checked and used as is; otherwise e runs over a
-    deterministic admissible pair and the two values are cross-checked.
+    An explicit direction is checked and used as is.  The default one is
+    cross-checked against V(R) . V(B), each factor F as J(F flip(e')) .
+    J(flip(e')), with e' the first of the admissible pair of its axis, or
+    the second when the first is +-e.  When R or B has no axis (angle or
+    rapidity at most tol) the check takes lam whole, with e' the second of
+    the pair whose first is e.
     """
+    pd = polar_decompose(lam, tol)
+    if direction is None:
+        e, other = _admissible(pd.axis, pd.boost_dir)
+    else:
+        e = _direction(pd, direction, tol)
+    r1, r2 = _factor(pd.rotation, pd.boost, e)
+    value = J(r1) @ J(r2)
     if direction is not None:
-        e = _unit_spatial(direction)
-        if axis is not None and abs(float(np.dot(e, axis))) > 1e-8:
-            name = "rotation axis" if what == "rotation" else "boost direction"
-            raise NotAdmissible(f"direction is not orthogonal to the {name}")
-        return _v_from_factor(J, factor, e)
-    e1, e2 = _admissible_pair(axis if axis is not None else _Z_AXIS)
-    return _crosschecked(
-        _v_from_factor(J, factor, e1),
-        _v_from_factor(J, factor, e2),
-        f"{what} value depends on the admissible direction",
-    )
+        return value
+    if pd.axis is None or pd.boost_dir is None:
+        f1, f2 = _factor(lam, None, other)
+        return _crosschecked(value, J(f1) @ J(f2), "value depends on the admissible direction")
+    alt = []
+    for factor, axis in ((pd.rotation, pd.axis), (pd.boost, pd.boost_dir)):
+        first, second = _admissible(axis, None)
+        f1, f2 = _factor(factor, None, second if abs(float(first @ e)) > 1.0 - 1e-6 else first)
+        alt.append(J(f1) @ J(f2))
+    return _crosschecked(value, alt[0] @ alt[1], "value depends on the admissible direction")
 
 
 def v_of_rotation(J: ReflectionMap, rot: LorentzElement, direction=None, tol=None) -> TargetElement:
@@ -312,30 +307,25 @@ def v_of_rotation(J: ReflectionMap, rot: LorentzElement, direction=None, tol=Non
     direction overrides the default, skipping the cross-check.
     """
     tol = resolve_tol(tol)
-    pd = polar_decompose(rot, tol)
-    if pd.rapidity > 1e-6:
+    if polar_decompose(rot, tol).rapidity > 1e-6:
         raise PreconditionViolated("input has a nontrivial boost part")
-    return _v_of_factor(J, pd.rotation, pd.axis, direction, "rotation")
+    return _v_of_split(J, rot, direction, tol)
 
 
 def v_of_boost(J: ReflectionMap, boost: LorentzElement, direction=None, tol=None) -> TargetElement:
-    """Extend J to a boost: J(B flip(e)) . J(flip(e)) for admissible e
+    """Extend J to a boost: J(flip(e)) . J(flip(e) B) for admissible e
     orthogonal to the boost direction; same cross-check policy as rotations."""
     tol = resolve_tol(tol)
-    pd = polar_decompose(boost, tol)
-    if pd.angle > 1e-6:
+    if polar_decompose(boost, tol).angle > 1e-6:
         raise PreconditionViolated("input has a nontrivial rotation part")
-    return _v_of_factor(J, pd.boost, pd.boost_dir, direction, "boost")
+    return _v_of_split(J, boost, direction, tol)
 
 
 def v_of_lorentz(J: ReflectionMap, lam: LorentzElement, tol=None) -> TargetElement:
-    """Extend J to a proper orthochronous element through its polar factors:
-    V(lam) = V(R) . V(B), from the one split of lam."""
-    tol = resolve_tol(tol)
-    lam.require_proper_orthochronous(tol)
-    pd = polar_decompose(lam, tol)
-    rotation = _v_of_factor(J, pd.rotation, pd.axis, None, "rotation")
-    return rotation @ _v_of_factor(J, pd.boost, pd.boost_dir, None, "boost")
+    """Extend J to a proper orthochronous element through the pair of
+    factor_into_reflections: V(lam) = J(r1) . J(r2), from the one split of
+    lam, cross-checked against V(R) . V(B)."""
+    return _v_of_split(J, lam, None, resolve_tol(tol))
 
 
 def v_of_proper(J: ReflectionMap, g, reference: Reflection | None = None, tol=None) -> TargetElement:
@@ -463,7 +453,7 @@ def verify_homomorphism(J: ReflectionMap, samples: int, seed, tol=None, threshol
 
     tol = resolve_tol(tol)
     rng = np.random.default_rng(seed)
-    precheck = verify_axioms(J, min(int(samples), 16), rng.integers(2 ** 32), tol=tol)
+    precheck = verify_axioms(J, min(int(samples), 16), rng.integers(2 ** 32))
     if not precheck["pass"]:
         return {
             "check": "homomorphism",
@@ -512,12 +502,14 @@ def verify_homomorphism(J: ReflectionMap, samples: int, seed, tol=None, threshol
 
 
 def verify_continuity_probe(J: ReflectionMap, path, steps: int, tol=None):
-    """Discrete modulus of continuity of J along a reflection path, plus the
-    induced rotation/boost families of successive relative motions.
+    """Discrete modulus of continuity of J along a reflection path, plus that
+    of the induced family V(r r0) of motions from the first point r0.
 
     path is a callable on [0, 1] or a sequence of reflections.  The reported
-    residual is the largest successive-step distance; an antilinearity-flag
-    change along the path makes the probe fail outright.
+    residual is the largest successive-step distance of J(r) and of V(r r0),
+    each V taken as v_of_lorentz takes it (cross-checked, AxiomViolation on
+    disagreement); an antilinearity-flag change along the path makes the
+    probe fail outright.
     """
     tol = resolve_tol(tol)
     if callable(path):
@@ -531,16 +523,9 @@ def verify_continuity_probe(J: ReflectionMap, path, steps: int, tol=None):
     flags_ok = all(v.antilinear == values[0].antilinear for v in values)
     for a, b in zip(values, values[1:]):
         worst = max(worst, a.distance_to(b))
-    base = points[0]
-    induced = []
-    for r in points:
-        pd = polar_decompose((r.element @ base.element).lorentz, tol)
-        induced.append((
-            _v_of_factor(J, pd.rotation, pd.axis, None, "rotation"),
-            _v_of_factor(J, pd.boost, pd.boost_dir, None, "boost"),
-        ))
-    for (ra, ba), (rb, bb) in zip(induced, induced[1:]):
-        worst = max(worst, ra.distance_to(rb), ba.distance_to(bb))
+    induced = [_v_of_split(J, (r.element @ points[0].element).lorentz, None, tol) for r in points]
+    for a, b in zip(induced, induced[1:]):
+        worst = max(worst, a.distance_to(b))
     return {
         "check": "continuity-probe",
         "samples": len(points) - 1,

@@ -82,14 +82,15 @@ class Reflection:
         a = self._g.translation.array
         # g * g = (lam lam, a + lam a), the identity test of
         # PoincareElement.is_identity written out.  The round-off of lam lam
-        # is about eps |lam|^2, 3e-11 |lam| at rapidity 6, so a bound of
-        # 100 tol |lam| holds it up to rapidity 10 at the default tol; one
-        # growing with |lam|^2 also accepted lam times a boost of rapidity
-        # 1e-4 at rapidity 6.  The round-off of lam a grows with |lam| |a|,
-        # and so does its bound.
+        # is about eps |lam|^2: exact reflections reach 460 eps |lam|^2 at
+        # rapidity 6-12, and lam times a boost of rapidity 1e-4 at rapidity
+        # 6 at least 5.3e5 eps |lam|^2, so 1e3 eps |lam|^2 on top of
+        # 100 tol |lam| accepts the one and rejects the other.  The
+        # round-off of lam a grows with |lam| |a|, and so does its bound.
         lam_size = frobenius(lam)
+        bound = 100 * tol * max(1.0, lam_size) + 1e3 * np.finfo(float).eps * lam_size ** 2
         if not (
-            frobenius(lam @ lam, _I4) <= 100 * tol * max(1.0, lam_size)
+            frobenius(lam @ lam, _I4) <= bound
             and frobenius(a + lam @ a) <= 100 * tol * max(1.0, lam_size * frobenius(a))
         ):
             raise PreconditionViolated("element does not square to the identity")
@@ -202,29 +203,50 @@ def admissible_directions(lam: LorentzElement, tol=None):
     checks; in degenerate cases a deterministic completion is used and the
     second entry is an alternative valid choice.
     """
-    tol = resolve_tol(tol)
     pd = polar_decompose(lam, tol)
-    return _admissible_from_polar(pd)
+    return _admissible(pd.axis, pd.boost_dir)
 
 
-def _admissible_from_polar(pd):
-    r_axis, b_dir = pd.axis, pd.boost_dir
-    if r_axis is not None and b_dir is not None:
-        cross = _cross(r_axis, b_dir)
+def _admissible(axis, boost_dir):
+    """admissible_directions of a unit rotation axis and boost direction."""
+    if axis is not None and boost_dir is not None:
+        cross = _cross(axis, boost_dir)
         n = frobenius(cross)
         if n > 1e-8:
             e = canonical_sign(cross / n)
             return e, -e
         # parallel axes: anything orthogonal to the common line works
-        e1 = perpendicular_unit(r_axis)
-        e2 = _cross(r_axis, e1)
+        e1 = perpendicular_unit(axis)
+        e2 = _cross(axis, e1)
         return e1, canonical_sign(e2 / frobenius(e2))
-    constraint = r_axis if r_axis is not None else b_dir
+    constraint = axis if axis is not None else boost_dir
     if constraint is None:
         return np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
     e1 = perpendicular_unit(constraint)
     e2 = _cross(constraint / frobenius(constraint), e1)
     return e1, canonical_sign(e2)
+
+
+def _direction(pd, direction, tol):
+    """The default admissible direction of a polar split, or the explicit
+    one, made unit and checked orthogonal to both axes to 100 tol."""
+    if direction is None:
+        return _admissible(pd.axis, pd.boost_dir)[0]
+    e = _unit_spatial(direction)
+    if pd.axis is not None and abs(np.dot(e, pd.axis)) > 100 * tol:
+        raise NotAdmissible("direction is not orthogonal to the rotation axis")
+    if pd.boost_dir is not None and abs(np.dot(e, pd.boost_dir)) > 100 * tol:
+        raise NotAdmissible("direction is not orthogonal to the boost direction")
+    return e
+
+
+def _factor(rotation, boost, e):
+    """The linear reflections R flip(e) and flip(e) B, where None stands
+    for B = 1; R may be any factor whose axis is orthogonal to e."""
+    flip = reflection_about_axis(e)
+    m = flip.element.lorentz
+    first = Reflection(PoincareElement(rotation @ m), validate=False)
+    return first, flip if boost is None else Reflection(PoincareElement(m @ boost), validate=False)
 
 
 def factor_into_reflections(lam: LorentzElement, direction=None, tol=None):
@@ -237,24 +259,8 @@ def factor_into_reflections(lam: LorentzElement, direction=None, tol=None):
     because flip(e) squares to the identity.
     """
     tol = resolve_tol(tol)
-    lam.require_proper_orthochronous(tol)
     pd = polar_decompose(lam, tol)
-    if direction is None:
-        e = _admissible_from_polar(pd)[0]
-    else:
-        e = _unit_spatial(direction)
-        _check_admissible(e, pd, tol)
-    flip = reflection_about_axis(e).element
-    r1 = Reflection(PoincareElement(pd.rotation) @ flip, validate=False)
-    r2 = Reflection(flip @ PoincareElement(pd.boost), validate=False)
-    return r1, r2
-
-
-def _check_admissible(e, pd, tol):
-    if pd.axis is not None and abs(np.dot(e, pd.axis)) > 100 * tol:
-        raise NotAdmissible("direction is not orthogonal to the rotation axis")
-    if pd.boost_dir is not None and abs(np.dot(e, pd.boost_dir)) > 100 * tol:
-        raise NotAdmissible("direction is not orthogonal to the boost direction")
+    return _factor(pd.rotation, pd.boost, _direction(pd, direction, tol))
 
 
 def stability_group_element(e0, angle: float, rapidity: float, tol=None) -> LorentzElement:

@@ -18,7 +18,6 @@ from .modular import (
     verify_modular_relations,
 )
 from .reconstruction import (
-    _admissible_pair,
     builtin_map,
     random_conjugated_map,
     translation_reflection,
@@ -33,6 +32,7 @@ from .reconstruction import (
 from .reflections import (
     factor_into_reflections,
     is_reflection,
+    perpendicular_unit,
     reflection_about_axis,
     stability_group_element,
     verify_ambiguity_classification,
@@ -96,7 +96,8 @@ def check_e_independence(seed, samples, directions=10):
     worst = 0.0
     for k in range(samples):
         axis = random_unit3(rng)
-        e1, e2 = _admissible_pair(axis)
+        e1 = perpendicular_unit(axis)
+        e2 = np.cross(axis, e1)
         angles = np.linspace(0.0, np.pi, directions, endpoint=False)
         if k % 2 == 0:
             element = make_rotation(axis, float(rng.uniform(0.1, np.pi - 0.1)))
@@ -211,7 +212,8 @@ def check_continuity(seed, steps=20):
     rng = np.random.default_rng(seed)
     jmap = builtin_map({"kind": "tautological"})
     axis = random_unit3(rng)
-    e1, e2 = _admissible_pair(axis)
+    e1 = perpendicular_unit(axis)
+    e2 = np.cross(axis, e1)
     ident = jmap.identity()
     distances = []
     for k in range(1, steps + 1):

@@ -23,6 +23,7 @@ from wedgegroup import (
     polar_decompose,
     random_lorentz,
     random_proper,
+    random_reflection,
 )
 
 
@@ -214,6 +215,28 @@ def test_component_errors():
         parity_x.require_proper_orthochronous()
     with pytest.raises(ZeroAxis):
         make_rotation([0, 0, 0], 1.0)
+
+
+@pytest.mark.parametrize("angle", [2e-9, 1e-8, 1e-7, 1e-6])
+def test_polar_axis_of_small_rotations(angle):
+    # the axis read from the symmetric part divides by 1 - cos(angle); for
+    # these angles it came out NaN (2e-9, 1e-8) or 5% off (1e-7)
+    axis = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
+    pd = polar_decompose(make_rotation(axis, angle))
+    assert pd.angle == pytest.approx(angle, rel=1e-6)
+    assert np.linalg.norm(pd.axis - axis) <= 1e-6
+
+
+def test_properness_is_the_sign_of_det_at_high_rapidity():
+    # det - 1 of an exact product reaches -1e-4 at rapidity 14, so a bound
+    # on |det - 1| stopped this sampler after 22 draws
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        random_reflection(rng, max_rapidity=12.0)
+    parity_x = LorentzElement(np.diag([1.0, -1, 1, 1]))
+    for rapidity in np.linspace(6.0, 14.0, 17):
+        with pytest.raises(NotProper):
+            (parity_x @ make_boost([0.3, 0.4, 0.5], rapidity)).require_proper_orthochronous()
 
 
 def test_poincare_composition_and_inverse():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wedgegroup import (
     AxiomViolation,
@@ -21,10 +23,12 @@ from wedgegroup import (
     factor_into_reflections,
     make_boost,
     make_rotation,
+    random_boost,
     random_conjugated_map,
     random_lorentz,
     random_poincare,
     random_reflection,
+    random_rotation,
     random_unit3,
     reference_reflection,
     reflection_about_axis,
@@ -195,6 +199,17 @@ def test_v_semantic_gates():
         v_of_boost(TAUT, make_boost([0, 0, 1], 0.5), direction=[0, 0, 1])
 
 
+def test_extension_keeps_a_factor_below_tol():
+    # at tol 1e-4 a factor of angle or rapidity 2e-6 has no axis; it stays
+    # in the value and in its cross-check, so the honest map passes
+    rot, boost = make_rotation([0, 0, 1], 0.7), make_boost([1, 0, 0], 0.7)
+    tiny_rot, tiny_boost = make_rotation([0, 1, 0], 2e-6), make_boost([1, 0, 0], 2e-6)
+    for extend, lam in ((v_of_rotation, rot @ tiny_boost), (v_of_boost, tiny_rot @ boost)):
+        expected = TargetElement(PoincareElement(lam).affine())
+        assert extend(TAUT, lam, tol=1e-4).distance_to(expected) <= 1e-12
+        assert v_of_lorentz(TAUT, lam, tol=1e-4).distance_to(expected) <= 1e-12
+
+
 def test_v_independent_of_direction():
     rot = make_rotation([0, 0, 1], 1.0)
     vals = [
@@ -210,6 +225,69 @@ def test_crosscheck_flags_broken_maps():
         v_of_rotation(_crooked_map(1), make_rotation([0, 0, 1], 0.7))
     with pytest.raises(AxiomViolation):
         u_translation(_crooked_map(2), FourVector(2, 0.3, 0.1, 0))
+
+
+def test_crosscheck_detection_on_crooked_maps():
+    # how many of 200 elements each extension rejects for a crooked map;
+    # the floors are the counts of V(R) . V(B) with two directions per
+    # factor, which the J(r1) . J(r2) form and its cross-check replaced
+    def fired(extend, J, element):
+        try:
+            extend(J, element)
+        except AxiomViolation:
+            return 1
+        return 0
+
+    floors = {1: (160, 82, 117), 2: (156, 89, 136), 3: (167, 71, 147)}
+    for key_row, (lorentz_floor, rotation_floor, boost_floor) in floors.items():
+        J = _crooked_map(key_row)
+        rng = np.random.default_rng(0)
+        lorentz = sum(
+            fired(v_of_lorentz, J, random_lorentz(rng, max_rapidity=2.0)) for _ in range(200)
+        )
+        rng = np.random.default_rng(1)
+        rotation = boost = 0
+        for _ in range(200):
+            rotation += fired(v_of_rotation, J, random_rotation(rng))
+            boost += fired(v_of_boost, J, random_boost(rng, max_rapidity=2.0))
+        assert lorentz >= lorentz_floor
+        assert rotation >= rotation_floor
+        assert boost >= boost_floor
+
+
+_UNIT3 = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
+    lambda v: np.linalg.norm(v) > 0.1
+)
+
+
+@given(
+    st.sampled_from(
+        ["generic", "near-pi", "parallel", "antiparallel", "rotation", "boost", "identity"]
+    ),
+    _UNIT3,
+    _UNIT3,
+    st.floats(0.0, np.pi),
+    st.floats(0.0, 6.0),
+    st.floats(1e-12, 1e-9),
+)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_factor_pair_over_the_degenerate_mix(kind, axis, other, angle, rapidity, offset):
+    if kind == "near-pi":
+        angle = np.pi - offset
+    if kind in ("parallel", "antiparallel"):
+        other = np.asarray(axis) * (1.0 if kind == "parallel" else -1.0)
+    if kind in ("boost", "identity"):
+        angle = 0.0
+    if kind in ("rotation", "identity"):
+        rapidity = 0.0
+    lam = make_rotation(axis, angle) @ make_boost(other, rapidity)
+    bound = 1e-12 * max(1.0, np.linalg.norm(lam.m) ** 2)
+    r1, r2 = factor_into_reflections(lam)
+    assert np.linalg.norm((r1.element @ r2.element).lorentz.m - lam.m) <= bound
+    Reflection(r1.element)
+    Reflection(r2.element)
+    expected = TargetElement(PoincareElement(lam).affine())
+    assert v_of_lorentz(TAUT, lam).distance_to(expected) <= bound
 
 
 def test_v_of_lorentz_tautological():

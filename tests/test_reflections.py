@@ -156,6 +156,15 @@ def test_near_involutions_at_high_rapidity_are_rejected():
         assert not is_reflection(PoincareElement(bent, r.element.translation))
 
 
+def test_exact_reflections_validate_at_high_rapidity():
+    # the round-off of lam lam grows like eps |lam|^2; without a term for
+    # it, 87 of these 2000 failed at rapidity 11
+    for max_rapidity in (11.0, 12.0):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            assert is_reflection(random_reflection(rng, max_rapidity=max_rapidity).element)
+
+
 def test_perpendicular_unit():
     rng = np.random.default_rng(37)
     for _ in range(100):
