@@ -7,7 +7,10 @@ the functions here extend J to the proper orthochronous Lorentz group, then
 to both components of the proper group, and finally to the full proper
 Poincare group including translations.  Every extension step is accompanied
 by a redundant second evaluation that raises AxiomViolation when the input
-map does not actually satisfy the axioms.
+map does not actually satisfy the axioms: a Lorentz element takes the pair of
+factor_into_reflections, checked against its polar factors, and a translation
+by z one reflection negating z, checked against a split of z into two timelike
+pieces.
 """
 
 from __future__ import annotations
@@ -305,18 +308,20 @@ def v_of_rotation(J: ReflectionMap, rot: LorentzElement, direction=None, tol=Non
     deterministic one and the result is cross-checked against a second
     admissible choice (AxiomViolation on disagreement).  An explicit
     direction overrides the default, skipping the cross-check.
+    PreconditionViolated when the polar split at tol has a boost direction.
     """
     tol = resolve_tol(tol)
-    if polar_decompose(rot, tol).rapidity > 1e-6:
+    if polar_decompose(rot, tol).boost_dir is not None:
         raise PreconditionViolated("input has a nontrivial boost part")
     return _v_of_split(J, rot, direction, tol)
 
 
 def v_of_boost(J: ReflectionMap, boost: LorentzElement, direction=None, tol=None) -> TargetElement:
     """Extend J to a boost: J(flip(e)) . J(flip(e) B) for admissible e
-    orthogonal to the boost direction; same cross-check policy as rotations."""
+    orthogonal to the boost direction; same cross-check policy as rotations.
+    PreconditionViolated when the polar split at tol has a rotation axis."""
     tol = resolve_tol(tol)
-    if polar_decompose(boost, tol).angle > 1e-6:
+    if polar_decompose(boost, tol).axis is not None:
         raise PreconditionViolated("input has a nontrivial rotation part")
     return _v_of_split(J, boost, direction, tol)
 
@@ -398,35 +403,25 @@ def translation_reflection(z: FourVector, companion=None) -> Reflection:
     return Reflection(PoincareElement(LorentzElement._product(_I4 - 2.0 * proj)), validate=False)
 
 
-def _second_companion(arr):
-    order = np.argsort(np.abs(arr[1:]))
-    companion = np.zeros(4)
-    companion[1 + int(order[1])] = 1.0
-    return companion
-
-
 def u_translation(J: ReflectionMap, z: FourVector, tol=None) -> TargetElement:
-    """Translation representer for arbitrary z.
-
-    Comfortably timelike z is handled directly through a negating reflection
-    (cross-checked against a second choice); any other z is split as a
-    difference of two future timelike vectors and composed.
+    """Translation representer U(z) = J(r shifted by z) . J(r), with r the
+    reflection negating span{z, c}: c is the time axis e0 when
+    |z_spatial|^2 >= z.z and the spatial axis least aligned with z otherwise,
+    so the plane is timelike.  Cross-checked against the split
+    z = (z/2 + t e0) + (z/2 - t e0), t = |z| + 1, each timelike piece through
+    its own negating reflection.
     """
     tol = resolve_tol(tol)
     arr = z.array
     norm = float(np.linalg.norm(arr))
     if norm <= 1e3 * tol:
         return J.identity()
-    q = float(arr[0] ** 2 - arr[1] ** 2 - arr[2] ** 2 - arr[3] ** 2)
-    if q > 1e-2 * norm ** 2:
-        value = u_translation_fixed_reflection(J, translation_reflection(z), z, tol=tol)
-        alt_refl = translation_reflection(z, companion=_second_companion(arr))
-        alt = u_translation_fixed_reflection(J, alt_refl, z, tol=tol)
-        return _crosschecked(value, alt, "translation value depends on the negating reflection")
-    t = norm + 1.0
-    x = FourVector.from_array(0.5 * arr + np.array([t, 0.0, 0.0, 0.0]))
-    minus_y = FourVector.from_array(0.5 * arr - np.array([t, 0.0, 0.0, 0.0]))
-    return u_translation(J, x, tol=tol) @ u_translation(J, minus_y, tol=tol)
+    e0, spatial_sq = _I4[0], float(arr[1:] @ arr[1:])
+    companion = e0 if spatial_sq >= arr[0] ** 2 - spatial_sq else None
+    value = u_translation_fixed_reflection(J, translation_reflection(z, companion), z, tol=tol)
+    pieces = [FourVector.from_array(0.5 * arr + s * (norm + 1.0) * e0) for s in (1.0, -1.0)]
+    x, minus_y = (u_translation_fixed_reflection(J, translation_reflection(p), p, tol=tol) for p in pieces)
+    return _crosschecked(value, x @ minus_y, "translation value depends on the negating reflection")
 
 
 def u_poincare(J: ReflectionMap, g: PoincareElement, tol=None) -> TargetElement:

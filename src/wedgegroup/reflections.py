@@ -37,7 +37,6 @@ from .wedges import (
     _frame,
     _normal_projector,
     _null_pair,
-    minkowski_inner_arr,
 )
 
 __all__ = [
@@ -306,32 +305,25 @@ def ambiguity_conjugate(commuting, pair, tol=None):
 
 def _l0_frame(lam: LorentzElement):
     """Orthonormal frame F with F^-1 lam F block-diagonal: a boost in the
-    (t, z) block and a rotation in the (x, y) block."""
+    (t, z) block and a rotation in the (x, y) block, for lam not 1.
+
+    X = (lam + lam^-1)/2 - 1 and X = A^2, A = (lam - lam^-1)/2, have double
+    eigenvalues cosh chi - 1 and sinh^2 chi on the boost plane, cos theta - 1
+    and -sin^2 theta on the rotation plane: mu1,2 = (s1 +- gap)/2 with
+    s1 = tr X/2 and gap^2 = tr X^2 - s1^2, and (X - mu2)/gap is the Minkowski
+    projector onto the boost plane.  The X with the wider gap is used; A^2
+    loses its gap at theta = pi, the first X its digits at small parameters.
+    """
     m = lam.m
-    vals, vecs = np.linalg.eig(m)
-    order = np.argsort(-np.abs(vals))
-    vals, vecs = vals[order], vecs[:, order]
-    if np.abs(vals[0]) > 1.0 + 1e-9:
-        # boost content: real eigenvectors on the light cone are the normals
-        # of the boost plane
-        plus = np.real(vecs[:, 0])
-        minus = np.real(vecs[:, int(np.argmin(np.abs(vals)))])
-        f = _frame(plus / plus[0], minus / minus[0])
-    else:
-        # rotation content: a complex eigenvector spans the rotation plane
-        rotating = np.flatnonzero(np.abs(vals.imag) > 1e-9)
-        if rotating.size == 0:
-            # no strict rotation either: lam is the identity on this branch;
-            # any orthonormal frame block-diagonalizes it
-            return np.eye(4)
-        x, y = vecs[:, rotating[0]].real, vecs[:, rotating[0]].imag
-        # v.v = 0 for an eigenvalue off the real axis: x and y are
-        # Minkowski-orthogonal with equal norms, so the projector onto the
-        # rotation plane needs no Gram inverse
-        rot = (np.outer(x, METRIC @ x) + np.outer(y, METRIC @ y)) * (
-            2.0 / (minkowski_inner_arr(x, x) + minkowski_inner_arr(y, y))
-        )
-        f = _frame(*_null_pair(_I4 - rot))
+    inv = METRIC @ m.T @ METRIC
+    half = 0.5 * (m - inv)
+    splits = []
+    for x in (0.5 * (m + inv) - _I4, half @ half):
+        s1 = 0.5 * float(np.trace(x))
+        splits.append((float(np.sum(x * x.T)) - s1 * s1, s1, x))
+    gap_sq, s1, x = max(splits, key=lambda split: split[0])
+    gap = np.sqrt(gap_sq)
+    f = _frame(*_null_pair((x - 0.5 * (s1 - gap) * _I4) / gap))
     return f[:, [0, 2, 3, 1]]  # (t, x, y, z) -> (tau, u1, u2, sigma)
 
 

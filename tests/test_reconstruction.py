@@ -199,6 +199,25 @@ def test_v_semantic_gates():
         v_of_boost(TAUT, make_boost([0, 0, 1], 0.5), direction=[0, 0, 1])
 
 
+def test_pure_factor_gates_follow_tol():
+    # a second factor of rapidity or angle 5e-7 is a factor at tol 1e-12 and
+    # nothing at tol 1e-6
+    lam = make_rotation([0, 0, 1], 0.7) @ make_boost([1, 0, 0], 5e-7)
+    with pytest.raises(PreconditionViolated):
+        v_of_rotation(TAUT, lam, tol=1e-12)
+    v_of_rotation(TAUT, lam, tol=1e-6)
+    lam = make_rotation([1, 0, 0], 5e-7) @ make_boost([0, 0, 1], 0.7)
+    with pytest.raises(PreconditionViolated):
+        v_of_boost(TAUT, lam, tol=1e-12)
+    v_of_boost(TAUT, lam, tol=1e-6)
+    # the round-off of honest pure factors stays below the default tol
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        v_of_rotation(TAUT, random_rotation(rng))
+        for rapidity in (1.0, 6.0, 12.0):
+            v_of_boost(TAUT, make_boost(random_unit3(rng), rapidity))
+
+
 def test_extension_keeps_a_factor_below_tol():
     # at tol 1e-4 a factor of angle or rapidity 2e-6 has no axis; it stays
     # in the value and in its cross-check, so the honest map passes
@@ -253,6 +272,23 @@ def test_crosscheck_detection_on_crooked_maps():
         assert lorentz >= lorentz_floor
         assert rotation >= rotation_floor
         assert boost >= boost_floor
+
+
+def test_translation_crosscheck_detection_on_crooked_maps():
+    # how many of 200 translations u_translation rejects for a crooked map;
+    # the floors are the counts of the recursive split, whose timelike
+    # pieces were cross-checked through a second companion, which the one
+    # negating reflection and its split cross-check replaced
+    for key_row, floor in {1: 129, 2: 134, 3: 137}.items():
+        J = _crooked_map(key_row)
+        rng = np.random.default_rng(11)
+        fired = 0
+        for _ in range(200):
+            try:
+                u_translation(J, FourVector(*rng.normal(size=4)))
+            except AxiomViolation:
+                fired += 1
+        assert fired >= floor
 
 
 _UNIT3 = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(

@@ -285,8 +285,7 @@ def test_verify_ambiguity_report():
     assert report["samples"] == 0
     assert report["pass"] is True
 
-    # a boost, and rotations (the rotation branch of the block frame), one
-    # of them conjugated by a boost
+    # a boost, and rotations, one of them conjugated by a boost
     g = make_boost([0.3, -1.0, 0.2], 1.7)
     for lam in (
         make_boost([0, 0, 1], 1.0),
@@ -298,6 +297,32 @@ def test_verify_ambiguity_report():
         assert report["samples"] == 100
         assert report["max_residual"] <= 1e-8
         assert report["pass"] is True
+
+
+def test_verify_ambiguity_near_degenerate_cores():
+    # a rapidity just above tol next to a finite angle
+    g = make_boost([1, 2, 0], 0.7)
+    lam = g @ stability_group_element([0.3, -0.5, 0.8], 1.0, 1e-8) @ g.inverse()
+    assert verify_ambiguity_classification(lam, 10, 0)["pass"] is True
+    # conjugated cores by family of (angle, rapidity) ranges: a frame from
+    # a general eigensolver fails on about a quarter of the draws of all but
+    # the third, and one from the spectral projector of (lam + lam^-1)/2
+    # alone on the second and third
+    families = (
+        ((0.15, 3.0), (1e-7, 1e-6)),
+        ((1e-7, 1e-6), (1e-7, 1e-6)),
+        ((1e-4, 1e-3), (1e-4, 1e-3)),
+        ((np.pi - 1e-5, np.pi - 1e-7), (1e-7, 1e-6)),
+    )
+    rng = np.random.default_rng(2)
+    for angles, rapidities in families:
+        for _ in range(40):
+            core = stability_group_element(
+                random_unit3(rng), rng.uniform(*angles), rng.uniform(*rapidities)
+            )
+            g = random_lorentz(rng, max_rapidity=2.0)
+            report = verify_ambiguity_classification(g @ core @ g.inverse(), 10, 0)
+            assert report["pass"] is True, (angles, rapidities, report["max_residual"])
 
 
 def test_verify_ambiguity_rejects_involutions():
