@@ -4,201 +4,31 @@ Minkowski wedges and their reflections, factorization of Lorentz
 transformations into reflection pairs, extension of reflection-indexed
 operator families to Poincare representations, and a finite-dimensional
 modular-theory oracle.
+
+The public names are those of each submodule's ``__all__``.
 """
 
-from .errors import (
-    AxiomViolation,
-    BadSpec,
-    DegenerateEdge,
-    DimensionCapExceeded,
-    NotAdmissible,
-    NotCommuting,
-    NotCyclic,
-    NotOrthochronous,
-    NotProper,
-    NotSeparating,
-    PreconditionViolated,
-    WedgeGroupError,
-    ZeroAxis,
-)
-from .minkowski import (
-    CausalClass,
-    ConjugacyClass,
-    FourVector,
-    LorentzElement,
-    METRIC,
-    PoincareElement,
-    PolarData,
-    canonical_sign,
-    classify_conjugacy,
-    classify_vector,
-    frobenius,
-    make_boost,
-    make_rotation,
-    minkowski_inner,
-    polar_decompose,
-)
-from .modular import (
-    MAX_DIM,
-    MatrixAlgebra,
-    ModularData,
-    block_factor_algebra,
-    commutant,
-    entangled_vector,
-    matrix_units,
-    modular_data,
-    random_algebra_with_vector,
-    span_residual,
-    verify_modular_relations,
-)
-from .reconstruction import (
-    ReflectionMap,
-    TargetElement,
-    builtin_map,
-    random_conjugated_map,
-    reference_reflection,
-    translation_reflection,
-    u_poincare,
-    u_translation,
-    u_translation_fixed_reflection,
-    v_of_boost,
-    v_of_lorentz,
-    v_of_proper,
-    v_of_rotation,
-    verify_axioms,
-    verify_continuity_probe,
-    verify_homomorphism,
-)
-from .reflections import (
-    Reflection,
-    admissible_directions,
-    ambiguity_conjugate,
-    factor_into_reflections,
-    is_reflection,
-    perpendicular_unit,
-    reflection_about_axis,
-    reflection_conjugator,
-    reflection_for_wedge,
-    stability_group_element,
-    verify_ambiguity_classification,
-)
-from .sampling import (
-    random_boost,
-    random_lorentz,
-    random_poincare,
-    random_proper,
-    random_reflection,
-    random_rotation,
-    random_translation,
-    random_unit3,
-    random_wedge,
-)
-from .suite import run_suite
-from .tolerances import resolve_tol
-from .wedges import (
-    DoubleCone,
-    InterpolationStep,
-    Wedge,
-    act,
-    causal_complement,
-    edge,
-    interpolating_wedges,
-    mapping_between,
-    standard_wedge,
-    strictly_inside,
-    wedges_equal,
-)
+from . import errors, minkowski, modular, reconstruction, reflections
+from . import sampling, suite, tolerances, wedges
+from .errors import *
+from .minkowski import *
+from .modular import *
+from .reconstruction import *
+from .reflections import *
+from .sampling import *
+from .suite import *
+from .tolerances import *
+from .wedges import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxiomViolation",
-    "BadSpec",
-    "CausalClass",
-    "ConjugacyClass",
-    "DegenerateEdge",
-    "DimensionCapExceeded",
-    "DoubleCone",
-    "FourVector",
-    "InterpolationStep",
-    "LorentzElement",
-    "MAX_DIM",
-    "METRIC",
-    "MatrixAlgebra",
-    "ModularData",
-    "NotAdmissible",
-    "NotCommuting",
-    "NotCyclic",
-    "NotOrthochronous",
-    "NotProper",
-    "NotSeparating",
-    "PoincareElement",
-    "PolarData",
-    "PreconditionViolated",
-    "Reflection",
-    "ReflectionMap",
-    "TargetElement",
-    "Wedge",
-    "WedgeGroupError",
-    "ZeroAxis",
-    "act",
-    "admissible_directions",
-    "ambiguity_conjugate",
-    "block_factor_algebra",
-    "builtin_map",
-    "canonical_sign",
-    "causal_complement",
-    "classify_conjugacy",
-    "classify_vector",
-    "commutant",
-    "edge",
-    "entangled_vector",
-    "factor_into_reflections",
-    "frobenius",
-    "interpolating_wedges",
-    "is_reflection",
-    "make_boost",
-    "make_rotation",
-    "mapping_between",
-    "matrix_units",
-    "minkowski_inner",
-    "modular_data",
-    "perpendicular_unit",
-    "polar_decompose",
-    "random_algebra_with_vector",
-    "random_boost",
-    "random_conjugated_map",
-    "random_lorentz",
-    "random_poincare",
-    "random_proper",
-    "random_reflection",
-    "random_rotation",
-    "random_translation",
-    "random_unit3",
-    "random_wedge",
-    "reference_reflection",
-    "reflection_about_axis",
-    "reflection_conjugator",
-    "reflection_for_wedge",
-    "resolve_tol",
-    "run_suite",
-    "span_residual",
-    "stability_group_element",
-    "standard_wedge",
-    "strictly_inside",
-    "translation_reflection",
-    "u_poincare",
-    "u_translation",
-    "u_translation_fixed_reflection",
-    "v_of_boost",
-    "v_of_lorentz",
-    "v_of_proper",
-    "v_of_rotation",
-    "verify_ambiguity_classification",
-    "verify_axioms",
-    "verify_continuity_probe",
-    "verify_homomorphism",
-    "verify_modular_relations",
-    "wedges_equal",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += errors.__all__
+__all__ += minkowski.__all__
+__all__ += modular.__all__
+__all__ += reconstruction.__all__
+__all__ += reflections.__all__
+__all__ += sampling.__all__
+__all__ += suite.__all__
+__all__ += tolerances.__all__
+__all__ += wedges.__all__

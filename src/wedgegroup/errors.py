@@ -1,5 +1,21 @@
 """Exception types raised by validating constructors and operators."""
 
+__all__ = [
+    "WedgeGroupError",
+    "NotProper",
+    "NotOrthochronous",
+    "ZeroAxis",
+    "DegenerateEdge",
+    "NotCommuting",
+    "PreconditionViolated",
+    "NotAdmissible",
+    "AxiomViolation",
+    "BadSpec",
+    "NotCyclic",
+    "NotSeparating",
+    "DimensionCapExceeded",
+]
+
 
 class WedgeGroupError(Exception):
     """Base class for all library-specific errors."""
@@ -19,7 +35,9 @@ class ZeroAxis(WedgeGroupError):
 
 
 class DegenerateEdge(WedgeGroupError):
-    """An interpolated edge plane failed to be spacelike."""
+    """An edge plane is not spacelike: an ``EdgePlane`` basis that is not
+    orthonormal spacelike, or in ``translation_reflection`` a z and companion
+    whose span is not timelike, so its complement is no reflection's edge."""
 
 
 class NotCommuting(WedgeGroupError):

@@ -36,6 +36,7 @@ __all__ = [
     "make_rotation",
     "make_boost",
     "classify_conjugacy",
+    "canonical_sign",
     "frobenius",
 ]
 

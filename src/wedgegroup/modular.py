@@ -28,6 +28,7 @@ __all__ = [
     "matrix_units",
     "block_factor_algebra",
     "random_algebra_with_vector",
+    "entangled_vector",
     "verify_modular_relations",
 ]
 

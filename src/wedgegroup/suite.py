@@ -39,7 +39,7 @@ from .reflections import (
 )
 from .sampling import random_lorentz, random_reflection, random_unit3
 
-__all__ = ["run_suite", "SUITE_CHECKS"]
+__all__ = ["run_suite"]
 
 
 def _report(check, samples, max_residual, ok):
@@ -271,17 +271,6 @@ _LEVELS = {
         "modular": dict(samples=10),
     },
 }
-
-SUITE_CHECKS = (
-    "factorization",
-    "ambiguity-classification",
-    "e-independence",
-    "homomorphism",
-    "translation-extension",
-    "negative-control",
-    "continuity",
-    "modular-oracle",
-)
 
 
 def run_suite(level="full", seed=42, parallel=None, force_fail=False):

@@ -5,6 +5,8 @@ Precedence: explicit argument > WEDGEGROUP_TOL environment variable > 1e-9.
 
 import os
 
+__all__ = ["resolve_tol"]
+
 DEFAULT_TOL = 1e-9
 ENV_VAR = "WEDGEGROUP_TOL"
 

@@ -4,14 +4,12 @@ A wedge is stored by its two future-lightlike normals l1, l2 (normalized to
 time component 1) plus a point p on its edge; membership is the strict pair
 of inequalities l1.(x - p) < 0 and l2.(x - p) > 0.  For the standard wedge
 about a spatial unit vector e this reduces to  x_spatial . e > |x_t|.  The
-causal complement swaps the two normals.  Wedges carry the metric topology
-induced by the Frobenius distance on (l1, l2, edge plane).
+causal complement swaps the two normals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +17,6 @@ from .errors import DegenerateEdge, PreconditionViolated, ZeroAxis
 from .minkowski import (
     METRIC,
     FourVector,
-    LorentzElement,
-    PoincareElement,
     _cross,
     _norm,
     _perpendicular_unit,
@@ -33,17 +29,13 @@ from .tolerances import resolve_tol
 
 __all__ = [
     "Wedge",
-    "EdgePlane",
     "DoubleCone",
-    "InterpolationStep",
     "standard_wedge",
     "act",
     "causal_complement",
     "edge",
     "wedges_equal",
     "strictly_inside",
-    "interpolating_wedges",
-    "mapping_between",
 ]
 
 
@@ -241,29 +233,37 @@ def _normal_projector(l1, l2):
     return (np.outer(l1, METRIC @ l2) + np.outer(l2, METRIC @ l1)) / minkowski_inner_arr(l1, l2)
 
 
+_NOT_PROJECTOR = "not a projector onto a timelike plane"
+
+
 def _null_pair(q):
     """Normal arrays (time component 1) of the timelike plane onto which q is
     the Minkowski projector, the inverse of ``_normal_projector``: q e_t / q00
     is (l1 + l2)/2, and the rank-one remainder q - (q e_t)(q e_t)^T g / q00
     is sigma sigma^T with sigma = (l1 - l2) sqrt(q00)/2.  PreconditionViolated
-    unless q is such a projector, to a fixed relative 1e-6.
+    unless q is such a projector, to a fixed relative 1e-6; the message names
+    the quantity that failed next to its bound.
     """
     q00 = q[0, 0]
     if not q00 > 0.0:
-        raise PreconditionViolated("not a projector onto a timelike plane")
+        raise PreconditionViolated(f"{_NOT_PROJECTOR}: q00 = {q00:.3e}, not > 0")
     col = q[:, 0]
     rest = q - np.outer(col, METRIC @ col) / q00
     k = int(np.argmax(np.diagonal(rest)))
     if not rest[k, k] > 0.0:
-        raise PreconditionViolated("not a projector onto a timelike plane")
+        raise PreconditionViolated(f"{_NOT_PROJECTOR}: rest[{k}, {k}] = {rest[k, k]:.3e}, not > 0")
     half = np.zeros(4)
     half[1:] = rest[1:, k] / np.sqrt(rest[k, k] * q00)
     l1, l2 = col / q00 + half, col / q00 - half
-    if not (
-        max(abs(minkowski_inner_arr(l1, l1)), abs(minkowski_inner_arr(l2, l2))) <= 1e-6
-        and frobenius(_normal_projector(l1, l2), q) <= 1e-6 * max(1.0, frobenius(q))
-    ):
-        raise PreconditionViolated("not a projector onto a timelike plane")
+    null = max(abs(minkowski_inner_arr(l1, l1)), abs(minkowski_inner_arr(l2, l2)))
+    if not null <= 1e-6:
+        raise PreconditionViolated(f"{_NOT_PROJECTOR}: null defect {null:.3e}, not <= 1e-6")
+    residual = frobenius(_normal_projector(l1, l2), q)
+    bound = 1e-6 * max(1.0, frobenius(q))
+    if not residual <= bound:
+        raise PreconditionViolated(
+            f"{_NOT_PROJECTOR}: projector residual {residual:.3e}, not <= {bound:.3e}"
+        )
     return l1, l2
 
 
@@ -347,94 +347,3 @@ def _wedge_frame(w):
     to the edge directions."""
     l1, l2 = w.l1.array, w.l2.array
     return _frame(l1, l2), _normal_projector(l1, l2) @ w.p.array
-
-
-def mapping_between(w1, w2, tol=None):
-    """A Poincare element g with act(g, w1) = w2, built from adapted frames."""
-    f1, p1 = _wedge_frame(w1)
-    f2, p2 = _wedge_frame(w2)
-    lam = LorentzElement(f2 @ METRIC @ f1.T @ METRIC, tol=tol)
-    shift = FourVector.from_array(p2 - lam.m @ p1)
-    return PoincareElement(lam, shift)
-
-
-class InterpolationStep(NamedTuple):
-    wedge: Wedge
-    upsilon: PoincareElement
-
-
-def _spacelike_gram_schmidt(d1, d2):
-    """Minkowski Gram-Schmidt of two spacelike directions; continuous in the
-    inputs, so frames built from it vary continuously with the family."""
-    v1 = d1 / np.sqrt(-minkowski_inner_arr(d1, d1))
-    w = d2 + minkowski_inner_arr(d2, v1) * v1
-    v2 = w / np.sqrt(-minkowski_inner_arr(w, w))
-    return v1, v2
-
-
-def _complement_legs(v1, v2, tau_hint, sigma_hint):
-    """Future timelike / spacelike legs of the plane Minkowski-orthogonal to
-    span{v1, v2}, aligned with the hint legs for continuity."""
-    def project_out(w):
-        return w + minkowski_inner_arr(w, v1) * v1 + minkowski_inner_arr(w, v2) * v2
-
-    tau = project_out(tau_hint)
-    tt = minkowski_inner_arr(tau, tau)
-    if tt <= 1e-12:
-        raise DegenerateEdge("frame construction degenerated; family is too far from the base")
-    tau = tau / np.sqrt(tt)
-    if tau[0] < 0:
-        tau = -tau
-    sigma = project_out(sigma_hint)
-    sigma = sigma - minkowski_inner_arr(sigma, tau) * tau
-    ss = minkowski_inner_arr(sigma, sigma)
-    if ss >= -1e-12:
-        raise DegenerateEdge("frame construction degenerated; family is too far from the base")
-    return tau, sigma / np.sqrt(-ss)
-
-
-def interpolating_wedges(reflections, base_reflection, base_wedge, tol=None):
-    """Wedges interpolating between a family of reflections and a base wedge.
-
-    For each reflection r in the family, the affine average of the identity
-    with r . base_reflection maps the base edge to a plane fixed pointwise
-    by r; if that plane is spacelike it is the edge of the returned wedge,
-    otherwise DegenerateEdge is raised.  Each step carries the Poincare
-    element upsilon mapping the base wedge onto the interpolated one; as the
-    family approaches the base reflection, upsilon approaches the identity.
-    """
-    tol = resolve_tol(tol)
-    base_el = getattr(base_reflection, "element", base_reflection)
-    f0, q0 = _wedge_frame(base_wedge)
-    tau0, sigma0, u01, u02 = f0.T
-    # the base reflection must fix the base edge pointwise
-    for probe in (q0, q0 + u01, q0 + u02):
-        moved = base_el.apply(FourVector.from_array(probe))
-        if float(np.linalg.norm(moved.array - probe)) > 1e-6:
-            raise ValueError("base reflection does not fix the base wedge edge")
-    f0_inv = METRIC @ f0.T @ METRIC
-
-    steps = []
-    for r in reflections:
-        el = getattr(r, "element", r)
-        prod = el @ base_el
-        lin = 0.5 * (np.eye(4) + prod.lorentz.m)
-        q = 0.5 * (q0 + prod.apply(FourVector.from_array(q0)).array)
-        d1, d2 = lin @ u01, lin @ u02
-        gram = np.array(
-            [
-                [minkowski_inner_arr(d1, d1), minkowski_inner_arr(d1, d2)],
-                [minkowski_inner_arr(d2, d1), minkowski_inner_arr(d2, d2)],
-            ]
-        )
-        evals = np.linalg.eigvalsh(gram)
-        if evals[1] >= -tol * max(1.0, abs(evals[0])):
-            raise DegenerateEdge("interpolated plane is not spacelike")
-        v1, v2 = _spacelike_gram_schmidt(d1, d2)
-        tau, sigma = _complement_legs(v1, v2, tau0, sigma0)
-        f = np.column_stack([tau, sigma, v1, v2])
-        lam = LorentzElement(f @ f0_inv, tol=tol)
-        shift = FourVector.from_array(q - lam.m @ q0)
-        ups = PoincareElement(lam, shift)
-        steps.append(InterpolationStep(act(ups, base_wedge, tol), ups))
-    return steps

@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "wedgegroup").glob("*.py"))
@@ -44,3 +45,30 @@ def test_no_resolved_tolerance_is_discarded():
 
 def test_no_general_eigensolver():
     assert [hit for path in SOURCES for hit in _general_eigensolves(path)] == []
+
+
+# the submodules whose ``__all__`` the package re-exports: every module but
+# the command line, the JSON codecs and the package files themselves
+REEXPORTED = [
+    path.stem for path in SOURCES if path.stem not in {"__init__", "__main__", "cli", "serialization"}
+]
+
+
+def test_package_exports_are_the_submodule_lists():
+    import wedgegroup
+
+    names = wedgegroup.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(wedgegroup, name)] == []
+    lists = [importlib.import_module(f"wedgegroup.{stem}").__all__ for stem in REEXPORTED]
+    assert set(names) == {"__version__"}.union(*lists)
+    assert sum(map(len, lists)) + 1 == len(names)
+
+
+def test_removed_names_are_gone():
+    import wedgegroup
+    from wedgegroup import suite, wedges
+
+    for name in ("interpolating_wedges", "InterpolationStep", "mapping_between"):
+        assert not hasattr(wedgegroup, name) and not hasattr(wedges, name)
+    assert not hasattr(suite, "SUITE_CHECKS")

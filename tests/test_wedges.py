@@ -1,33 +1,29 @@
-"""Wedge regions, their edges, causal complements, covariance, interpolation."""
+"""Wedge regions, their edges, causal complements, covariance, double cones."""
 
 import numpy as np
 import pytest
 
 from wedgegroup import (
-    DegenerateEdge,
     DoubleCone,
     FourVector,
     METRIC,
     PoincareElement,
+    PreconditionViolated,
     Wedge,
     act,
     causal_complement,
     edge,
-    interpolating_wedges,
     make_boost,
-    make_rotation,
-    mapping_between,
     minkowski_inner,
     random_poincare,
     random_unit3,
     random_wedge,
-    reflection_about_axis,
     reflection_for_wedge,
     standard_wedge,
     strictly_inside,
     wedges_equal,
 )
-from wedgegroup.wedges import _frame, _wedge_frame
+from wedgegroup.wedges import _frame, _null_pair, _wedge_frame
 
 RIGHT = standard_wedge([1, 0, 0])
 
@@ -255,61 +251,19 @@ def test_strictly_inside_holds_on_the_whole_cone():
     assert accepted[0.0] == 150 and 0 < accepted[1e-3] < 150
 
 
-def test_mapping_between_transitivity():
-    rng = np.random.default_rng(29)
-    for _ in range(40):
-        w1, w2 = random_wedge(rng), random_wedge(rng)
-        g = mapping_between(w1, w2)
-        assert wedges_equal(act(g, w1), w2, tol=1e-9)
-
-
-def test_mapping_between_at_high_rapidity():
-    # nearly null normal planes put the canonical edge points about 1e5 away,
-    # where the projector in wedges_equal amplifies round-off beyond 1e-9;
-    # so the image is checked through the normals and the defining forms
-    rng = np.random.default_rng(53)
-    for _ in range(2000):
-        w1, w2 = random_wedge(rng, max_rapidity=6.0), random_wedge(rng, max_rapidity=6.0)
-        image = act(mapping_between(w1, w2), w1)
-        assert np.abs(image.l1.array - w2.l1.array).max() <= 1e-9
-        assert np.abs(image.l2.array - w2.l2.array).max() <= 1e-9
-        reach = 1.0 + np.linalg.norm(image.p.array - w2.p.array)
-        assert np.abs(w2.margins(image.p)).max() <= 1e-9 * reach
-
-
-def test_interpolation_base_point():
-    lam0 = reflection_for_wedge(RIGHT)
-    (step,) = interpolating_wedges([lam0], lam0, RIGHT)
-    assert wedges_equal(step.wedge, RIGHT, tol=1e-12)
-    assert step.upsilon.is_identity(tol=1e-12)
-
-
-def test_interpolation_edges_fixed_and_upsilon_shrinks():
-    lam0 = reflection_for_wedge(RIGHT)
-    deltas = [2.0 ** -k for k in range(1, 9)]
-    family = []
-    for d in deltas:
-        g = PoincareElement(make_boost([0, 1, 0], d) @ make_rotation([0, 1, 0], d))
-        family.append(lam0.conjugated_by(g))
-    steps = interpolating_wedges(family, lam0, RIGHT)
-    identity = PoincareElement.identity()
-    dists = []
-    for r, step in zip(family, steps):
-        pl = edge(step.wedge)
-        for s, t in ((0, 0), (1, 0), (0, 1)):
-            x = pl.point_at(s, t)
-            assert float(np.linalg.norm(r.apply(x).array - x.array)) <= 1e-10
-        dists.append(step.upsilon.distance_to(identity))
-    assert all(a > b for a, b in zip(dists, dists[1:]))
-    assert dists[-1] < 1e-2
-
-
-def test_interpolation_rejects_far_family():
-    lam0 = reflection_for_wedge(RIGHT)
-    with pytest.raises(DegenerateEdge):
-        interpolating_wedges([reflection_about_axis([0, 1, 0])], lam0, RIGHT)
-
-
-def test_interpolation_needs_matching_base():
-    with pytest.raises(ValueError):
-        interpolating_wedges([], reflection_about_axis([0, 1, 0]), RIGHT)
+@pytest.mark.parametrize(
+    "q, failure",
+    [
+        (-np.eye(4), r"q00 = -1\.000e\+00, not > 0"),
+        (np.diag([1.0, 0.0, 0.0, 0.0]), r"rest\[0, 0\] = 0\.000e\+00, not > 0"),
+        (np.diag([1.0, 4.0, 0.0, 0.0]), r"null defect 3\.000e\+00, not <= 1e-6"),
+        (np.eye(4), r"projector residual 1\.414e\+00, not <= 2\.000e-06"),
+    ],
+    ids=["q00", "rest", "null", "residual"],
+)
+def test_null_pair_names_the_failed_check(q, failure):
+    # each non-projector fails a different check, and the message keeps its
+    # fixed prefix and appends the failing quantity next to its bound
+    prefix = "^not a projector onto a timelike plane: "
+    with pytest.raises(PreconditionViolated, match=prefix + failure):
+        _null_pair(q)
