@@ -35,9 +35,9 @@ class ZeroAxis(WedgeGroupError):
 
 
 class DegenerateEdge(WedgeGroupError):
-    """An edge plane is not spacelike: an ``EdgePlane`` basis that is not
-    orthonormal spacelike, or in ``translation_reflection`` a z and companion
-    whose span is not timelike, so its complement is no reflection's edge."""
+    """An edge plane is not spacelike: in ``translation_reflection``, a z and
+    companion whose span is not timelike, so its complement is no
+    reflection's edge."""
 
 
 class NotCommuting(WedgeGroupError):

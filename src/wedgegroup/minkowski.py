@@ -143,10 +143,14 @@ class FourVector:
 ZERO_VECTOR = FourVector(0.0, 0.0, 0.0, 0.0)
 
 
+def _inner(a, b):
+    """Minkowski inner product of two length-4 arrays."""
+    return float(a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3])
+
+
 def minkowski_inner(a, b):
     """Minkowski inner product a.b with signature (+,-,-,-)."""
-    av, bv = a.array, b.array
-    return float(av[0] * bv[0] - av[1] * bv[1] - av[2] * bv[2] - av[3] * bv[3])
+    return _inner(a.array, b.array)
 
 
 class CausalClass(enum.Enum):
@@ -178,6 +182,16 @@ def classify_vector(v, tol=None):
     return CausalClass.SPACELIKE
 
 
+def _lorentz_array(matrix):
+    """A fresh float copy of matrix; ValueError unless it is 4x4 and finite."""
+    m = np.array(matrix, dtype=float)
+    if m.shape != (4, 4):
+        raise ValueError(f"Lorentz matrix must be 4x4, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("Lorentz matrix must have finite entries")
+    return m
+
+
 class LorentzElement:
     """Real 4x4 matrix m with m^T g m = g (validated on construction).
 
@@ -187,21 +201,18 @@ class LorentzElement:
 
     __slots__ = ("_m", "_det", "_polar")
 
-    def __init__(self, matrix, tol=None, validate=True):
-        m = np.array(matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"Lorentz matrix must be 4x4, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("Lorentz matrix must have finite entries")
-        if validate:
-            tol = resolve_tol(tol)
-            # (m^T * signs) is m^T g entry for entry, without the zeros
-            defect = _norm((m.T * _METRIC_SIGNS) @ m - METRIC)
-            # the defect of a rounded Lorentz matrix grows with |m|^2
-            flat = m.ravel()
-            scale = max(1.0, float(flat.dot(flat)))
-            if defect > 10.0 * tol * scale:
-                raise ValueError(f"matrix does not preserve the metric (defect {defect:.3e})")
+    def __init__(self, matrix, tol=None):
+        m = _lorentz_array(matrix)
+        tol = resolve_tol(tol)
+        # (m^T * signs) is m^T g entry for entry, without the zeros
+        defect = _norm((m.T * _METRIC_SIGNS) @ m - METRIC)
+        # the defect of a rounded Lorentz matrix grows with |m|^2
+        flat = m.ravel()
+        bound = 10.0 * tol * max(1.0, float(flat.dot(flat)))
+        # an overflowed |m|^2 or defect cannot be compared (inf <= inf and
+        # nan <= x would both let the matrix through), so it fails too
+        if not defect <= bound < math.inf:
+            raise ValueError(f"matrix does not preserve the metric (defect {defect:.3e})")
         m.setflags(write=False)
         self._m = m
         self._det = None
@@ -209,9 +220,10 @@ class LorentzElement:
 
     @classmethod
     def _product(cls, m):
-        """Wrap a freshly computed product of Lorentz matrices: it is 4x4
-        and owned by the caller, so only finiteness is checked; the metric
-        check of its factors stands for its own."""
+        """The trusted constructor, for a 4x4 matrix the library computed
+        from checked Lorentz data (a product, a polar factor, a closed form)
+        and that the caller owns: only finiteness is checked, and the metric
+        check of the data it came from stands for its own."""
         if not np.isfinite(m).all():
             raise ValueError("Lorentz matrix must have finite entries")
         m.setflags(write=False)
@@ -223,7 +235,7 @@ class LorentzElement:
 
     @classmethod
     def identity(cls):
-        return cls(_I4, validate=False)
+        return cls._product(np.eye(4))
 
     @property
     def m(self):
@@ -247,9 +259,9 @@ class LorentzElement:
 
     def require_proper_orthochronous(self, tol=None):
         tol = resolve_tol(tol)
-        # det = +-1 once the metric check has passed (for a ``_product`` or
-        # validate=False element, its factors'), and its round-off grows like
-        # e^(2 chi) with the rapidity chi, so the sign decides
+        # det = +-1 once the metric check has passed (for a ``_product``
+        # element, that of the data it was computed from), and its round-off
+        # grows like e^(2 chi) with the rapidity chi, so the sign decides
         if not self.is_proper:
             raise NotProper(f"determinant {self.det:.6f} != +1")
         if self._m[0, 0] < 1.0 - 10.0 * tol:
@@ -454,8 +466,8 @@ def polar_decompose(lam, tol=None):
     else:
         axis.setflags(write=False)
     pd = PolarData(
-        rotation=LorentzElement(rot_m, tol=tol),
-        boost=LorentzElement(boost_m, tol=tol),
+        rotation=LorentzElement._product(rot_m),
+        boost=LorentzElement._product(boost_m),
         axis=axis,
         angle=angle,
         boost_dir=boost_dir,
@@ -481,7 +493,7 @@ def make_rotation(axis, angle, tol=None):
     o = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
     out = np.eye(4)
     out[1:, 1:] = o
-    return LorentzElement(out, tol=tol)
+    return LorentzElement._product(out)
 
 
 def make_boost(direction, rapidity, tol=None):
@@ -494,7 +506,7 @@ def make_boost(direction, rapidity, tol=None):
     out[0, 1:] = sh * b
     out[1:, 0] = sh * b
     out[1:, 1:] = np.eye(3) + (ch - 1.0) * np.outer(b, b)
-    return LorentzElement(out, tol=tol)
+    return LorentzElement._product(out)
 
 
 class ConjugacyClass(enum.Enum):

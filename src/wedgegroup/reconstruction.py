@@ -367,9 +367,8 @@ def u_translation_fixed_reflection(J: ReflectionMap, refl: Reflection, x: FourVe
     scale = max(1.0, float(np.linalg.norm(x.array)))
     if float(np.linalg.norm(moved + x.array)) > 100 * tol * scale:
         raise NotAdmissible("translation is not negated by the reflection")
-    shifted = Reflection(
-        PoincareElement(lam, FourVector.from_array(refl.element.translation.array + x.array)),
-        validate=False,
+    shifted = Reflection._trusted(
+        PoincareElement(lam, FourVector.from_array(refl.element.translation.array + x.array))
     )
     return J(shifted) @ J(refl)
 
@@ -400,7 +399,7 @@ def translation_reflection(z: FourVector, companion=None) -> Reflection:
     if not det < 0.0:
         raise DegenerateEdge("the plane of z and its companion is not timelike")
     proj = (np.outer(d * arr - b * companion, gz) + np.outer(a * companion - b * arr, gc)) / det
-    return Reflection(PoincareElement(LorentzElement._product(_I4 - 2.0 * proj)), validate=False)
+    return Reflection._trusted(PoincareElement(LorentzElement._product(_I4 - 2.0 * proj)))
 
 
 def u_translation(J: ReflectionMap, z: FourVector, tol=None) -> TargetElement:

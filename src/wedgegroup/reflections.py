@@ -21,6 +21,7 @@ from .minkowski import (
     LorentzElement,
     PoincareElement,
     _cross,
+    _lorentz_array,
     _perpendicular_unit,
     canonical_sign,
     classify_conjugacy,
@@ -30,14 +31,7 @@ from .minkowski import (
     polar_decompose,
 )
 from .tolerances import resolve_tol
-from .wedges import (
-    EdgePlane,
-    Wedge,
-    _edge_plane,
-    _frame,
-    _normal_projector,
-    _null_pair,
-)
+from .wedges import Wedge, _frame, _normal_projector, _null_pair
 
 __all__ = [
     "Reflection",
@@ -61,20 +55,26 @@ class Reflection:
     """An involutive, unit-determinant, time-reversing Poincare element.
 
     The fixed-point set of such an element is an affine plane; construction
-    checks it is two-dimensional and spacelike.
+    checks it is two-dimensional and spacelike.  Reflections the library
+    computes from checked data (conjugates, factor pairs, wedge reflections)
+    are wrapped by ``_trusted`` without the check.
     """
 
-    __slots__ = ("_g", "_plane")
+    __slots__ = ("_g",)
 
-    def __init__(self, element, tol=None, validate=True):
-        if validate:
-            tol = resolve_tol(tol)
+    def __init__(self, element, tol=None):
+        tol = resolve_tol(tol)
         if not isinstance(element, PoincareElement):
             raise TypeError("expected a PoincareElement")
         self._g = element
-        self._plane = None
-        if validate:
-            self._validate(tol)
+        self._validate(tol)
+
+    @classmethod
+    def _trusted(cls, element):
+        """The trusted constructor: wraps a PoincareElement unchecked."""
+        out = cls.__new__(cls)
+        out._g = element
+        return out
 
     def _validate(self, tol):
         lam = self._g.lorentz.m
@@ -104,31 +104,16 @@ class Reflection:
                 "fixed-point set is not a two-dimensional plane"
             )
 
-    def _negated_frame(self):
-        """``_frame`` of the negated plane, whose Minkowski projector is
-        (1 - lam)/2, and the fixed point a/2 (lam a = -a by g*g = 1)."""
-        g = self._g
-        return _frame(*_null_pair(0.5 * (_I4 - g.lorentz.m))), 0.5 * g.translation.array
-
     @property
     def element(self) -> PoincareElement:
         return self._g
-
-    @property
-    def fixed_plane(self) -> EdgePlane:
-        """The fixed plane: the edge of the frame of the negated plane,
-        through a/2.  PreconditionViolated unless (1 - lam)/2 is a Minkowski
-        projector onto a timelike plane, to a fixed relative 1e-6."""
-        if self._plane is None:
-            self._plane = _edge_plane(*self._negated_frame())
-        return self._plane
 
     def apply(self, x: FourVector) -> FourVector:
         return self._g.apply(x)
 
     def conjugated_by(self, g: PoincareElement) -> "Reflection":
         """The reflection g r g^-1; fixes the g-image of the fixed plane."""
-        return Reflection(g @ self._g @ g.inverse(), validate=False)
+        return Reflection._trusted(g @ self._g @ g.inverse())
 
     def distance_to(self, other: "Reflection") -> float:
         return self._g.distance_to(other._g)
@@ -146,7 +131,7 @@ def reflection_about_axis(direction) -> Reflection:
     e = _unit_spatial(direction)
     m = _TIME_FLIP.copy()
     m[1:, 1:] -= 2.0 * np.outer(e, e)
-    return Reflection(PoincareElement(LorentzElement._product(m)), validate=False)
+    return Reflection._trusted(PoincareElement(LorentzElement._product(m)))
 
 
 def reflection_for_wedge(w: Wedge) -> Reflection:
@@ -164,7 +149,7 @@ def _reflection_from_normals(l1, l2, p):
     """reflection_for_wedge on the raw normal and edge-point arrays."""
     proj = _normal_projector(l1, l2)
     lam = LorentzElement._product(_I4 - 2.0 * proj)
-    return Reflection(PoincareElement(lam, FourVector.from_array(2.0 * proj @ p)), validate=False)
+    return Reflection._trusted(PoincareElement(lam, FourVector.from_array(2.0 * proj @ p)))
 
 
 def is_reflection(element, tol=None) -> bool:
@@ -244,8 +229,8 @@ def _factor(rotation, boost, e):
     for B = 1; R may be any factor whose axis is orthogonal to e."""
     flip = reflection_about_axis(e)
     m = flip.element.lorentz
-    first = Reflection(PoincareElement(rotation @ m), validate=False)
-    return first, flip if boost is None else Reflection(PoincareElement(m @ boost), validate=False)
+    first = Reflection._trusted(PoincareElement(rotation @ m))
+    return first, flip if boost is None else Reflection._trusted(PoincareElement(m @ boost))
 
 
 def factor_into_reflections(lam: LorentzElement, direction=None, tol=None):
@@ -286,20 +271,22 @@ def ambiguity_conjugate(commuting, pair, tol=None):
     """
     tol = resolve_tol(tol)
     r1, r2 = pair
-    c = commuting.m if isinstance(commuting, LorentzElement) else np.asarray(commuting, dtype=float)
+    if not isinstance(commuting, LorentzElement):
+        commuting = LorentzElement._product(_lorentz_array(commuting))
+    c = commuting.m
     prod = (r1.element @ r2.element).lorentz.m
     scale = max(1.0, frobenius(prod))
     if frobenius(c @ prod - prod @ c) > 100 * tol * scale:
         raise NotCommuting("element does not commute with the factored transformation")
-    g = PoincareElement(LorentzElement(c, tol=tol, validate=False))
+    g = PoincareElement(commuting)
     # conjugate with the numerical inverse rather than the metric transpose:
     # for an input slightly off the group the metric transpose is not its
     # inverse, and the conjugation would amplify that defect by the size of
     # the factors; the true inverse keeps the similarity exact
-    g_inv = PoincareElement(LorentzElement(np.linalg.inv(c), validate=False))
+    g_inv = PoincareElement(LorentzElement._product(np.linalg.inv(c)))
     return (
-        Reflection(g @ r1.element @ g_inv, validate=False),
-        Reflection(g @ r2.element @ g_inv, validate=False),
+        Reflection._trusted(g @ r1.element @ g_inv),
+        Reflection._trusted(g @ r2.element @ g_inv),
     )
 
 
@@ -380,7 +367,7 @@ def verify_ambiguity_classification(lam: LorentzElement, trials: int, seed, tol=
     for _ in range(int(trials)):
         alpha = float(rng.uniform(-np.pi, np.pi))
         beta = float(rng.uniform(-2.0, 2.0))
-        commuting = LorentzElement(f @ _l0_element(alpha, beta, tol) @ f_inv, validate=False)
+        commuting = LorentzElement._product(f @ _l0_element(alpha, beta, tol) @ f_inv)
         g1, g2 = ambiguity_conjugate(commuting, (r1, r2), tol=tol)
         # move everything into the block frame; there conjugation by a
         # commuting element d acts as x -> x d^-2, so d^2 is read off from
@@ -417,7 +404,11 @@ def reflection_conjugator(r: Reflection) -> PoincareElement:
     """Poincare element carrying the reflection about the x axis to r: the
     frame map from the standard x-wedge to the wedge of r.  Because a
     reflection is determined by its fixed plane, conjugating the reference
-    reflection by the result reproduces r exactly up to roundoff.
+    reflection by the result reproduces r exactly up to roundoff.  The
+    frame is ``_frame`` of the negated plane, whose Minkowski projector is
+    (1 - lam)/2, and the base point the fixed point a/2 (lam a = -a by r r = 1).
     """
-    f, point = r._negated_frame()
-    return PoincareElement(LorentzElement._product(f), FourVector.from_array(point))
+    g = r.element
+    f = _frame(*_null_pair(0.5 * (_I4 - g.lorentz.m)))
+    point = FourVector.from_array(0.5 * g.translation.array)
+    return PoincareElement(LorentzElement._product(f), point)

@@ -11,7 +11,7 @@ import numpy as np
 from .minkowski import FourVector, LorentzElement, PoincareElement, _norm, make_boost, make_rotation
 from .reflections import Reflection, _reflection_from_normals, reflection_about_axis
 from .tolerances import resolve_tol
-from .wedges import Wedge, _check_normals, _normalized_rays, _standard_normals
+from .wedges import Wedge, _normalized_rays, _standard_normals
 
 __all__ = [
     "random_unit3",
@@ -74,22 +74,21 @@ def random_poincare(rng, max_rapidity=3.0, scale=2.0) -> PoincareElement:
 
 
 def _wedge_arrays(rng, max_rapidity):
-    """random_wedge as raw arrays (l1, l2, p), with the draws, arithmetic and checks
-    of act(random_poincare(rng, max_rapidity), standard_wedge(random_unit3(rng)))."""
+    """random_wedge as raw arrays (l1, l2, p): the draws and arithmetic of
+    act(random_poincare(rng, max_rapidity), standard_wedge(random_unit3(rng))),
+    with the checks act makes (a proper orthochronous map, future rays)."""
     tol = resolve_tol(None)
     lam = random_lorentz(rng, max_rapidity)
     a = random_translation(rng).array  # the image of the edge point 0
     l1, l2 = _standard_normals(random_unit3(rng), tol)
-    _check_normals(l1, l2, tol)
     lam.require_proper_orthochronous(tol)
     l1, l2 = _normalized_rays(lam.m @ l1, lam.m @ l2)
-    _check_normals(l1, l2, tol)
     return l1, l2, a
 
 
 def random_wedge(rng, max_rapidity=2.0) -> Wedge:
-    l1, l2, a = _wedge_arrays(rng, max_rapidity)
-    return Wedge(FourVector.from_array(l1), FourVector.from_array(l2), FourVector.from_array(a))
+    l1, l2, a = (FourVector.from_array(v) for v in _wedge_arrays(rng, max_rapidity))
+    return Wedge._trusted(l1, l2, a)
 
 
 def random_reflection(rng, max_rapidity=2.0) -> Reflection:

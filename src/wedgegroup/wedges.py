@@ -9,15 +9,14 @@ causal complement swaps the two normals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateEdge, PreconditionViolated, ZeroAxis
+from .errors import PreconditionViolated, ZeroAxis
 from .minkowski import (
     METRIC,
     FourVector,
     _cross,
+    _inner,
     _norm,
     _perpendicular_unit,
     frobenius,
@@ -33,64 +32,9 @@ __all__ = [
     "standard_wedge",
     "act",
     "causal_complement",
-    "edge",
     "wedges_equal",
     "strictly_inside",
 ]
-
-
-@dataclass(frozen=True)
-class EdgePlane:
-    """Two-dimensional spacelike affine plane point + span{u1, u2}.
-
-    u1, u2 are Minkowski-orthonormal spacelike directions (u.u = -1) and the
-    base point is the representative of the plane Minkowski-orthogonal to
-    both directions, so equal planes have equal canonical data up to basis
-    rotation in the plane.
-    """
-
-    point: FourVector
-    u1: FourVector
-    u2: FourVector
-
-    def __post_init__(self):
-        for u in (self.u1, self.u2):
-            if abs(minkowski_inner(u, u) + 1.0) > 1e-6:
-                raise DegenerateEdge("edge basis vector is not unit spacelike")
-        if abs(minkowski_inner(self.u1, self.u2)) > 1e-6:
-            raise DegenerateEdge("edge basis is not orthogonal")
-
-    def point_at(self, s, t):
-        return FourVector.from_array(
-            self.point.array + s * self.u1.array + t * self.u2.array
-        )
-
-    def offplane_residual(self, x):
-        """Euclidean norm of the component of x - point off the plane."""
-        v = x.array - self.point.array
-        v_plane = -minkowski_inner_arr(v, self.u1.array) * self.u1.array
-        v_plane = v_plane - minkowski_inner_arr(v, self.u2.array) * self.u2.array
-        return float(np.linalg.norm(v - v_plane))
-
-    def contains(self, x, tol=1e-9):
-        scale = 1.0 + float(np.linalg.norm(x.array - self.point.array))
-        return self.offplane_residual(x) <= tol * scale
-
-
-def minkowski_inner_arr(a, b):
-    return float(a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3])
-
-
-def _check_normals(l1, l2, tol):
-    """ValueError unless arrays l1, l2 are distinct lightlike normals with t = 1."""
-    for name, arr in (("l1", l1), ("l2", l2)):
-        scale = max(1.0, float(arr @ arr))
-        if abs(minkowski_inner_arr(arr, arr)) > 10.0 * tol * scale:
-            raise ValueError(f"{name} is not lightlike")
-        if abs(arr[0] - 1.0) > 10.0 * tol:
-            raise ValueError(f"{name} must be normalized to time component 1")
-    if _norm(l1 - l2) <= 1e3 * tol:
-        raise ValueError("the two lightlike normals must be distinct")
 
 
 class Wedge:
@@ -99,14 +43,25 @@ class Wedge:
     __slots__ = ("_l1", "_l2", "_p")
 
     def __init__(self, l1, l2, p, tol=None):
-        _check_normals(l1.array, l2.array, resolve_tol(tol))
+        """ValueError unless l1, l2 are distinct lightlike normals with t = 1."""
+        tol = resolve_tol(tol)
+        for name, arr in (("l1", l1.array), ("l2", l2.array)):
+            scale = max(1.0, float(arr @ arr))
+            if abs(_inner(arr, arr)) > 10.0 * tol * scale:
+                raise ValueError(f"{name} is not lightlike")
+            if abs(arr[0] - 1.0) > 10.0 * tol:
+                raise ValueError(f"{name} must be normalized to time component 1")
+        if _norm(l1.array - l2.array) <= 1e3 * tol:
+            raise ValueError("the two lightlike normals must be distinct")
         self._l1, self._l2, self._p = l1, l2, p
 
     @classmethod
-    def from_rays(cls, l1, l2, p, tol=None):
-        """Build a wedge from unnormalized future-lightlike rays."""
-        a1, a2 = _normalized_rays(l1.array, l2.array)
-        return cls(FourVector.from_array(a1), FourVector.from_array(a2), p, tol=tol)
+    def _trusted(cls, l1, l2, p):
+        """The trusted constructor, for normals the library computed from
+        checked ones (a standard wedge, a Poincare image, a swap)."""
+        out = cls.__new__(cls)
+        out._l1, out._l2, out._p = l1, l2, p
+        return out
 
     @property
     def l1(self):
@@ -123,10 +78,7 @@ class Wedge:
     def margins(self, x):
         """The pair (l1.(x-p), l2.(x-p)); inside means (negative, positive)."""
         d = x.array - self._p.array
-        return (
-            minkowski_inner_arr(self._l1.array, d),
-            minkowski_inner_arr(self._l2.array, d),
-        )
+        return _inner(self._l1.array, d), _inner(self._l2.array, d)
 
     def contains(self, x):
         a, b = self.margins(x)
@@ -158,7 +110,7 @@ def standard_wedge(e, tol=None):
     tol = resolve_tol(tol)
     l1, l2 = _standard_normals(e, tol)
     origin = FourVector(0.0, 0.0, 0.0, 0.0)
-    return Wedge(FourVector.from_array(l1), FourVector.from_array(l2), origin, tol=tol)
+    return Wedge._trusted(FourVector.from_array(l1), FourVector.from_array(l2), origin)
 
 
 def act(g, w, tol=None):
@@ -170,25 +122,13 @@ def act(g, w, tol=None):
     tol = resolve_tol(tol)
     g.lorentz.require_proper_orthochronous(tol)
     m = g.lorentz.m
-    l1 = FourVector.from_array(m @ w.l1.array)
-    l2 = FourVector.from_array(m @ w.l2.array)
-    return Wedge.from_rays(l1, l2, g.apply(w.p), tol=tol)
+    l1, l2 = _normalized_rays(m @ w.l1.array, m @ w.l2.array)
+    return Wedge._trusted(FourVector.from_array(l1), FourVector.from_array(l2), g.apply(w.p))
 
 
 def causal_complement(w):
     """Swap the two lightlike normals; the edge is shared."""
-    return Wedge(w.l2, w.l1, w.p)
-
-
-def edge(w):
-    """Edge plane of a wedge: the set where both defining forms vanish."""
-    return _edge_plane(*_wedge_frame(w))
-
-
-def _edge_plane(f, point):
-    """EdgePlane through the point array, spanned by the last two columns of
-    a frame from ``_frame``."""
-    return EdgePlane(*(FourVector.from_array(a) for a in (point, f[:, 2], f[:, 3])))
+    return Wedge._trusted(w.l2, w.l1, w.p)
 
 
 def _frame(l1, l2):
@@ -230,7 +170,7 @@ def _normal_projector(l1, l2):
     Minkowski-orthogonal complement of span{l1, l2}), so 1 - P projects onto
     the directions of the edge plane.
     """
-    return (np.outer(l1, METRIC @ l2) + np.outer(l2, METRIC @ l1)) / minkowski_inner_arr(l1, l2)
+    return (np.outer(l1, METRIC @ l2) + np.outer(l2, METRIC @ l1)) / _inner(l1, l2)
 
 
 _NOT_PROJECTOR = "not a projector onto a timelike plane"
@@ -255,7 +195,7 @@ def _null_pair(q):
     half = np.zeros(4)
     half[1:] = rest[1:, k] / np.sqrt(rest[k, k] * q00)
     l1, l2 = col / q00 + half, col / q00 - half
-    null = max(abs(minkowski_inner_arr(l1, l1)), abs(minkowski_inner_arr(l2, l2)))
+    null = max(abs(_inner(l1, l1)), abs(_inner(l2, l2)))
     if not null <= 1e-6:
         raise PreconditionViolated(f"{_NOT_PROJECTOR}: null defect {null:.3e}, not <= 1e-6")
     residual = frobenius(_normal_projector(l1, l2), q)
@@ -336,14 +276,4 @@ def strictly_inside(c, w, neighborhood=1e-6):
     half = 0.5 * (future - past)
     reach = 1.0 + _norm(past + half - parr) + _norm(half)
     m = 2.0 * neighborhood * reach
-    return bool(
-        minkowski_inner_arr(w.l1.array, future - parr) <= -m
-        and minkowski_inner_arr(w.l2.array, past - parr) >= m
-    )
-
-
-def _wedge_frame(w):
-    """``_frame`` of a wedge, and the point of its edge Minkowski-orthogonal
-    to the edge directions."""
-    l1, l2 = w.l1.array, w.l2.array
-    return _frame(l1, l2), _normal_projector(l1, l2) @ w.p.array
+    return bool(_inner(w.l1.array, future - parr) <= -m and _inner(w.l2.array, past - parr) >= m)

@@ -92,6 +92,18 @@ def test_factor_rejects_antichronous(capsys):
     assert doc["payload"]["error"] == "NotOrthochronous"
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("command", ["polar", "factor"])
+def test_overflowing_shear_is_rejected(command, capsys):
+    # its metric defect overflows to inf, which the entry check rejects
+    m = np.eye(4)
+    m[0, 1] = 1e200
+    code, doc, _ = run_cli([command], stdin_data=lorentz_json(m), capsys=capsys)
+    assert code == 1
+    assert doc["status"] == "fail"
+    assert doc["payload"]["error"] == "ValueError"
+
+
 def test_reconstruct_tautological(capsys):
     spec = json.dumps({"kind": "tautological"})
     code, doc, _ = run_cli(

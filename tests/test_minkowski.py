@@ -24,6 +24,7 @@ from wedgegroup import (
     random_lorentz,
     random_proper,
     random_reflection,
+    random_unit3,
 )
 
 
@@ -199,11 +200,37 @@ def test_canonical_sign(vals):
         assert lead[0] > 0
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_lorentz_element_rejects_garbage():
     with pytest.raises(ValueError):
         LorentzElement(np.arange(16.0).reshape(4, 4))
     with pytest.raises(ValueError):
-        LorentzElement(np.full((4, 4), np.nan), validate=False)
+        LorentzElement(np.full((4, 4), np.nan))
+    # the trusted constructor still checks finiteness
+    with pytest.raises(ValueError):
+        LorentzElement._product(np.full((4, 4), np.nan))
+    # |m|^2 and the metric defect overflow to inf or nan, which cannot be
+    # compared with the bound, so the matrix does not pass
+    shear = np.eye(4)
+    shear[0, 1] = 1e200
+    for matrix in (np.full((4, 4), 1e160), shear):
+        with pytest.raises(ValueError, match="does not preserve the metric"):
+            LorentzElement(matrix)
+
+
+def test_polar_split_of_checked_elements_at_tight_tol():
+    # the polar factors of an element that passed the entry check are not
+    # checked again, so at tol 1e-14 every such element splits, also at
+    # rapidity 7-12, where the metric defect of the computed boost factor B
+    # can exceed the 1e-13 |B|^2 that check would allow at this tol
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        rot = make_rotation(random_unit3(rng), rng.uniform(0.0, np.pi))
+        boost = make_boost(random_unit3(rng), rng.uniform(0.0, 12.0))
+        lam = LorentzElement(rot.m @ boost.m, tol=1e-14)
+        pd = polar_decompose(lam, 1e-14)
+        residual = np.linalg.norm(pd.rotation.m @ pd.boost.m - lam.m)
+        assert residual <= 1e-12 * max(1.0, np.linalg.norm(lam.m) ** 2)
 
 
 def test_component_errors():

@@ -38,6 +38,14 @@ from wedgegroup.minkowski import frobenius
 Z_FLIP = reflection_about_axis([0, 0, 1])
 
 
+def _fixes(r, x):
+    """Whether r fixes the point x: with a/2 a fixed point of r and P the
+    projector onto its negated plane, |r x - x| = 2 |P (x - a/2)|, held to
+    2e-9 (1 + |x - a/2|)."""
+    off = x.array - 0.5 * r.element.translation.array
+    return bool(np.linalg.norm(r.apply(x).array - x.array) <= 2e-9 * (1.0 + np.linalg.norm(off)))
+
+
 def test_axis_reflection_matrix():
     assert np.allclose(Z_FLIP.element.lorentz.m, np.diag([-1.0, 1.0, 1.0, -1.0]))
     assert np.allclose(Z_FLIP.element.translation.array, 0.0)
@@ -46,14 +54,16 @@ def test_axis_reflection_matrix():
 
 
 def test_axis_reflection_fixed_plane():
-    pl = Z_FLIP.fixed_plane
-    # plane through the origin spanned by e_x, e_y
-    assert np.allclose(pl.point.array, 0.0)
-    for u in (pl.u1, pl.u2):
-        assert u.t == pytest.approx(0.0)
-        assert u.z == pytest.approx(0.0)
-    assert pl.contains(FourVector(0, -4, 2, 0))
-    assert not pl.contains(FourVector(0, -4, 2, 0.1))
+    # plane through the origin spanned by e_x, e_y: the conjugator from the
+    # x-reflection carries the edge directions e_y, e_z of the standard
+    # x-wedge onto its directions, and the origin onto its base point
+    g = reflection_conjugator(Z_FLIP)
+    assert np.allclose(g.translation.array, 0.0)
+    for u in (g.lorentz.m[:, 2], g.lorentz.m[:, 3]):
+        assert u[0] == pytest.approx(0.0)
+        assert u[3] == pytest.approx(0.0)
+    assert _fixes(Z_FLIP, FourVector(0, -4, 2, 0))
+    assert not _fixes(Z_FLIP, FourVector(0, -4, 2, 0.1))
 
 
 def test_reflection_for_standard_wedge():
@@ -95,7 +105,7 @@ def test_is_reflection_negatives():
     fixed_dir = PoincareElement.from_translation(FourVector(0, 1, 0, 0))
     shifted = negated_dir @ Z_FLIP.element
     assert is_reflection(shifted)
-    assert Reflection(shifted).fixed_plane.contains(FourVector(0, 3, -1, 0.5))
+    assert _fixes(Reflection(shifted), FourVector(0, 3, -1, 0.5))
     assert not is_reflection(fixed_dir @ Z_FLIP.element)
 
 
@@ -123,13 +133,13 @@ def test_validation_messages():
         PoincareElement(LorentzElement(np.diag([-1.0, -1.0, -1.0, 1.0]))),
         # 1 - 2P for the span of the timelike (1, 0.5, 0, 0), (1, -0.5, 0, 0),
         # with P built by the null-normal formula, which then is no projector
-        PoincareElement(LorentzElement(np.diag([-2.2, 0.2, 1.0, 1.0]), validate=False)),
+        PoincareElement(LorentzElement._product(np.diag([-2.2, 0.2, 1.0, 1.0]))),
     ],
 )
 def test_unvalidated_non_reflection_has_no_fixed_plane(element):
-    r = Reflection(element, validate=False)
-    with pytest.raises(PreconditionViolated):
-        r.fixed_plane
+    # the conjugator reads the frame of the fixed plane, which a
+    # non-reflection wrapped by the trusted constructor does not have
+    r = Reflection._trusted(element)
     with pytest.raises(PreconditionViolated):
         reflection_conjugator(r)
 

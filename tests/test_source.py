@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "wedgegroup").glob("*.py"))
@@ -69,6 +70,28 @@ def test_removed_names_are_gone():
     import wedgegroup
     from wedgegroup import suite, wedges
 
-    for name in ("interpolating_wedges", "InterpolationStep", "mapping_between"):
+    for name in ("interpolating_wedges", "InterpolationStep", "mapping_between", "edge"):
         assert not hasattr(wedgegroup, name) and not hasattr(wedges, name)
     assert not hasattr(suite, "SUITE_CHECKS")
+    assert not hasattr(wedges, "EdgePlane")
+    assert not hasattr(wedgegroup.Wedge, "from_rays")
+    assert not hasattr(wedgegroup.Reflection, "fixed_plane")
+
+
+def test_constructors_have_no_validate_switch():
+    import wedgegroup
+
+    for cls in (wedgegroup.LorentzElement, wedgegroup.Reflection):
+        assert "validate" not in inspect.signature(cls).parameters
+
+
+def _validate_keywords(path):
+    """Lines of path passing ``validate=`` to a call: every value is checked
+    where it enters, or built by a trusted constructor, never switched off."""
+    for node in _nodes(path):
+        if isinstance(node, ast.Call) and any(kw.arg == "validate" for kw in node.keywords):
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_no_call_passes_validate():
+    assert [hit for path in SOURCES for hit in _validate_keywords(path)] == []

@@ -11,9 +11,10 @@ from wedgegroup import (
     PreconditionViolated,
     Wedge,
     act,
+    LorentzElement,
     causal_complement,
-    edge,
     make_boost,
+    make_rotation,
     minkowski_inner,
     random_poincare,
     random_unit3,
@@ -23,9 +24,23 @@ from wedgegroup import (
     strictly_inside,
     wedges_equal,
 )
-from wedgegroup.wedges import _frame, _null_pair, _wedge_frame
+from wedgegroup.wedges import _frame, _normal_projector, _null_pair
 
 RIGHT = standard_wedge([1, 0, 0])
+
+
+def _edge(w):
+    """Directions u1, u2 of the edge of w (the last two columns of its frame)
+    and the point of the edge Minkowski-orthogonal to them."""
+    l1, l2 = w.l1.array, w.l2.array
+    f = _frame(l1, l2)
+    return f[:, 2], f[:, 3], _normal_projector(l1, l2) @ w.p.array
+
+
+def _offplane(w, x):
+    """Euclidean size of the part of x - p off the edge plane of w: its
+    projection onto the normal plane."""
+    return float(np.linalg.norm(_normal_projector(w.l1.array, w.l2.array) @ (x - w.p.array)))
 
 
 def test_membership_examples():
@@ -83,14 +98,33 @@ def test_wedges_equal_under_edge_translations():
     rng = np.random.default_rng(37)
     for _ in range(100):
         w = random_wedge(rng, max_rapidity=2.0)
-        pl = edge(w)
+        u1, u2, _ = _edge(w)
         s, t = rng.uniform(-5.0, 5.0, size=2)
-        shift = s * pl.u1.array + t * pl.u2.array
+        shift = s * u1 + t * u2
         same = wedges_equal(w, Wedge(w.l1, w.l2, FourVector.from_array(w.p.array + shift)))
         assert type(same) is bool and same
         moved = Wedge(w.l1, w.l2, FourVector.from_array(w.p.array + 1e-6 * w.l1.array))
         differ = wedges_equal(w, moved)
         assert type(differ) is bool and not differ
+
+
+def test_act_on_checked_elements_at_tight_tol():
+    # the image normals under an element that passed the entry check are
+    # not checked again, so at tol 1e-14 act returns for every such element,
+    # with normals lightlike to round-off
+    tol = 1e-14
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        rot = make_rotation(random_unit3(rng), rng.uniform(0.0, np.pi))
+        boost = make_boost(random_unit3(rng), rng.uniform(0.0, 12.0))
+        g = PoincareElement(LorentzElement(rot.m @ boost.m, tol=tol))
+        for _ in range(4):
+            w = standard_wedge(random_unit3(rng))
+            for v in (w, causal_complement(w)):
+                image = act(g, v, tol)
+                # lightlike to the bound the check applies at the default tol
+                for n in (image.l1.array, image.l2.array):
+                    assert abs(n @ METRIC @ n) <= 1e-8 * (n @ n)
 
 
 def test_causal_complement_is_opposite_wedge():
@@ -121,15 +155,16 @@ def test_causal_complement_involutive_and_spacelike():
 
 def test_edge_of_standard_wedge():
     assert np.array_equal(_frame(RIGHT.l1.array, RIGHT.l2.array), np.eye(4))
-    pl = edge(RIGHT)
-    assert np.allclose(pl.point.array, 0.0, atol=1e-12)
-    span = np.stack([pl.u1.array, pl.u2.array])
+    u1, u2, point = _edge(RIGHT)
+    assert np.allclose(point, 0.0, atol=1e-12)
+    span = np.stack([u1, u2])
     # the edge plane is {t = x = 0}, i.e. span of e_y and e_z
     assert np.allclose(span[:, 0], 0.0, atol=1e-12)
     assert np.allclose(span[:, 1], 0.0, atol=1e-12)
     assert abs(np.linalg.det(span[:, 2:])) == pytest.approx(1.0)
-    assert pl.contains(FourVector(0, 0, -3, 7))
-    assert not pl.contains(FourVector(0, 0.1, -3, 7))
+    on_edge, off_edge = np.array([0.0, 0.0, -3.0, 7.0]), np.array([0.0, 0.1, -3.0, 7.0])
+    assert _offplane(RIGHT, on_edge) <= 1e-9 * (1.0 + np.linalg.norm(on_edge - point))
+    assert not _offplane(RIGHT, off_edge) <= 1e-9 * (1.0 + np.linalg.norm(off_edge - point))
 
 
 @pytest.mark.parametrize("max_rapidity", [1.0, 3.0, 6.0])
@@ -139,19 +174,19 @@ def test_edge_matches_svd_reference(max_rapidity):
     rng = np.random.default_rng(int(10 * max_rapidity) + 1)
     for _ in range(2000):
         w = random_wedge(rng, max_rapidity=max_rapidity)
-        pl = edge(w)
-        u = np.stack([pl.u1.array, pl.u2.array])
+        u1, u2, point = _edge(w)
+        u = np.stack([u1, u2])
         ref = np.linalg.svd(np.stack([METRIC @ w.l1.array, METRIC @ w.l2.array]))[2][2:]
         assert np.linalg.norm(u - (u @ ref.T) @ ref) <= 1e-9 * np.linalg.norm(u)
         assert np.abs(u @ METRIC @ u.T + np.eye(2)).max() <= 1e-9
-        f, _ = _wedge_frame(w)
+        f = _frame(w.l1.array, w.l2.array)
         scale = np.linalg.norm(f) ** 2
         assert np.abs(f.T @ METRIC @ f - METRIC).max() <= 1e-9 * scale
         assert np.linalg.det(f) == pytest.approx(1.0, abs=1e-9 * scale)
         assert f[0, 0] > 0.0
         # the base point lies on the edge through p
-        reach = 1.0 + np.linalg.norm(pl.point.array - w.p.array)
-        assert np.abs(w.margins(pl.point)).max() <= 1e-9 * reach
+        reach = 1.0 + np.linalg.norm(point - w.p.array)
+        assert np.abs(w.margins(FourVector.from_array(point))).max() <= 1e-9 * reach
 
 
 def test_edge_covariance():
@@ -159,11 +194,13 @@ def test_edge_covariance():
     for _ in range(30):
         w = random_wedge(rng, max_rapidity=1.0)
         g = random_poincare(rng, max_rapidity=1.5, scale=1.0)
-        pl, pl2 = edge(w), edge(act(g, w))
+        gw = act(g, w)
+        (u1, u2, point), (v1, v2, point2) = _edge(w), _edge(gw)
         for s, t in ((0, 0), (1, 0), (0, 1), (-2, 3)):
-            assert pl2.offplane_residual(g.apply(pl.point_at(s, t))) <= 1e-10
-            back = g.inverse().apply(pl2.point_at(s, t))
-            assert pl.offplane_residual(back) <= 1e-10
+            image = g.apply(FourVector.from_array(point + s * u1 + t * u2))
+            assert _offplane(gw, image.array) <= 1e-10
+            back = g.inverse().apply(FourVector.from_array(point2 + s * v1 + t * v2))
+            assert _offplane(w, back.array) <= 1e-10
 
 
 def test_edge_fixed_by_its_reflection():
@@ -171,9 +208,9 @@ def test_edge_fixed_by_its_reflection():
     for _ in range(20):
         w = random_wedge(rng)
         lam = reflection_for_wedge(w)
-        pl = edge(w)
+        u1, u2, point = _edge(w)
         for s, t in ((0, 0), (1, 0), (0, 1), (0.5, -0.5)):
-            x = pl.point_at(s, t)
+            x = FourVector.from_array(point + s * u1 + t * u2)
             assert float(np.linalg.norm(lam.apply(x).array - x.array)) <= 1e-12 * (
                 1 + np.linalg.norm(x.array)
             )
